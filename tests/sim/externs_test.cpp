@@ -29,6 +29,17 @@ TEST(Externs, FallbackDependsOnNameAndArgs) {
   EXPECT_NE(fns.eval("f", {1}), fns.eval("f", {1, 1}));
 }
 
+// The fallback hash feeds every unbound extern call in every simulation;
+// these values pin its exact bits.
+TEST(Externs, FallbackKnownAnswers) {
+  ExternFuncs fns;
+  EXPECT_EQ(fns.eval("", {}), 0xCBF29CE484222325ULL);
+  EXPECT_EQ(fns.eval("f", {}), 0x0629c6f72cf9eda1ull);
+  EXPECT_EQ(fns.eval("f", {1}), 0x2c1a6fb5a5fdb21full);
+  EXPECT_EQ(fns.eval("mystery", {7, 9}), 0xdb209f8af21ff742ull);
+  EXPECT_EQ(fns.eval("\xff", {~0ull}), 0x2c1a6fb5a5fda85aull);
+}
+
 TEST(Externs, RegistrationOverridesFallback) {
   ExternFuncs fns;
   std::uint64_t fallback = fns.eval("f", {5});
