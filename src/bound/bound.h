@@ -5,10 +5,11 @@
 // space — exponential in the thread count, so a 1024-consumer fan-out
 // exhausts any state budget. This facade answers the first two questions
 // with sound over-approximations computed by abstract interpretation over
-// the per-thread CFGs (bound/engine.h): milliseconds at 1024 consumers,
-// and every reported interval provably contains the checker's exact value
-// (the differential suite in tests/bound asserts this on every fixture the
-// checker can finish).
+// the per-thread CFGs (bound/engine.h): roughly N², about 0.37 s per
+// organization at 1024 consumers (hic-bench compile_corpus,
+// bound.analyze_ms), and every reported interval provably contains the
+// checker's exact value (the differential suite in tests/bound asserts
+// this on every fixture the checker can finish).
 //
 // Three clients (each its own translation unit):
 //  1. occupancy.h — dependency-list occupancy vs generated CAM capacity,

@@ -1,7 +1,6 @@
 #include "cover/db.h"
 
-#include <fstream>
-#include <sstream>
+#include "support/file.h"
 
 namespace hicsync::cover {
 
@@ -106,15 +105,13 @@ bool load_records(std::string_view text, CoverageModel* out,
 
 bool load_file(const std::string& path, CoverageModel* out,
                std::string* error, int* records) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  std::string text;
+  if (!support::read_file(path, &text)) {
     if (error != nullptr) *error = "cannot open " + path;
     return false;
   }
-  std::ostringstream ss;
-  ss << in.rdbuf();
   std::string prefixed_error;
-  if (!load_records(ss.str(), out, &prefixed_error, records)) {
+  if (!load_records(text, out, &prefixed_error, records)) {
     if (error != nullptr) *error = path + ": " + prefixed_error;
     return false;
   }

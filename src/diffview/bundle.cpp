@@ -2,10 +2,10 @@
 
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "cover/db.h"
+#include "support/file.h"
+#include "support/hash.h"
 #include "support/strings.h"
 
 namespace hicsync::diffview {
@@ -76,26 +76,6 @@ bool bool_or(const support::JsonValue& obj, std::string_view key,
              bool fallback) {
   const support::JsonValue* v = obj.find(key);
   return v != nullptr && v->is_bool() ? v->bool_value : fallback;
-}
-
-bool write_file(const std::filesystem::path& path, const std::string& body,
-                std::string* error) {
-  std::ofstream out(path);
-  if (!out) {
-    if (error != nullptr) *error = "cannot write '" + path.string() + "'";
-    return false;
-  }
-  out << body;
-  return true;
-}
-
-bool read_file(const std::filesystem::path& path, std::string* body) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  *body = ss.str();
-  return true;
 }
 
 }  // namespace
@@ -300,11 +280,13 @@ bool write_bundle(const std::string& dir, const std::string& manifest_json,
     }
     return false;
   }
-  if (!write_file(root / "manifest.json", manifest_json, error)) return false;
-  if (!write_file(root / "events.jsonl", events_jsonl, error)) return false;
-  if (!write_file(root / "metrics.json", metrics_json, error)) return false;
+  if (!support::write_file(root / "manifest.json", manifest_json, error) ||
+      !support::write_file(root / "events.jsonl", events_jsonl, error) ||
+      !support::write_file(root / "metrics.json", metrics_json, error)) {
+    return false;
+  }
   if (!cover_record.empty() &&
-      !write_file(root / "cover.jsonl", cover_record + "\n", error)) {
+      !support::write_file(root / "cover.jsonl", cover_record + "\n", error)) {
     return false;
   }
   return true;
@@ -320,7 +302,7 @@ bool load_bundle(const std::string& dir, Bundle* out, std::string* error) {
 
   std::string text;
   std::filesystem::path root(dir);
-  if (!read_file(root / "manifest.json", &text)) {
+  if (!support::read_file(root / "manifest.json", &text)) {
     return fail("cannot read manifest.json (not a bundle directory?)");
   }
   support::JsonValue manifest;
@@ -332,20 +314,20 @@ bool load_bundle(const std::string& dir, Bundle* out, std::string* error) {
     return fail(perr);
   }
 
-  if (!read_file(root / "events.jsonl", &text)) {
+  if (!support::read_file(root / "events.jsonl", &text)) {
     return fail("cannot read events.jsonl");
   }
   if (!parse_events_jsonl(text, &b.events, &perr)) {
     return fail("events.jsonl: " + perr);
   }
 
-  if (read_file(root / "metrics.json", &text) && !text.empty()) {
+  if (support::read_file(root / "metrics.json", &text) && !text.empty()) {
     if (!support::parse_json(text, &b.metrics, &perr)) {
       return fail("metrics.json: " + perr);
     }
   }
 
-  if (read_file(root / "cover.jsonl", &text) && !text.empty()) {
+  if (support::read_file(root / "cover.jsonl", &text) && !text.empty()) {
     int records = 0;
     if (!cover::load_records(text, &b.coverage, &perr, &records)) {
       return fail("cover.jsonl: " + perr);
@@ -358,15 +340,7 @@ bool load_bundle(const std::string& dir, Bundle* out, std::string* error) {
 }
 
 std::string digest_hex(std::string_view bytes) {
-  std::uint64_t h = 14695981039346656037ull;  // FNV-1a offset basis
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ull;  // FNV prime
-  }
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(h));
-  return std::string(buf);
+  return support::hex64(support::fnv1a64(bytes));
 }
 
 }  // namespace hicsync::diffview

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
+#include "support/file.h"
 #include "support/json.h"
 
 namespace hicsync::perf {
@@ -241,12 +241,11 @@ int HistoryStore::ingest_directory(const std::string& dir,
   std::sort(files.begin(), files.end());
   int ingested = 0;
   for (const fs::path& file : files) {
-    std::ifstream in(file);
-    std::ostringstream ss;
-    ss << in.rdbuf();
+    std::string text;
+    (void)support::read_file(file, &text);  // unreadable parses as empty
     BenchRun run;
     std::string parse_error;
-    if (!parse_bench_json(ss.str(), &run, &parse_error)) {
+    if (!parse_bench_json(text, &run, &parse_error)) {
       if (error != nullptr) {
         *error = file.filename().string() + ": " + parse_error;
       }

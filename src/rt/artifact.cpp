@@ -1,7 +1,5 @@
 #include "rt/artifact.h"
 
-#include <cstdio>
-
 #include "core/compiler.h"
 #include "hic/sema.h"
 #include "memalloc/sizing.h"
@@ -9,30 +7,6 @@
 #include "support/strings.h"
 
 namespace hicsync::rt {
-
-namespace {
-
-std::string hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return std::string(buf);
-}
-
-const char* org_name(sim::OrgKind k) {
-  return k == sim::OrgKind::Arbitrated ? "arbitrated" : "event-driven";
-}
-
-}  // namespace
-
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 std::string sema_digest(const hic::Sema& sema) {
   // Canonical rendering: every declared symbol (qualified name, width,
@@ -56,7 +30,7 @@ std::string sema_digest(const hic::Sema& sema) {
     }
     canon += '\n';
   }
-  return hex64(fnv1a64(canon));
+  return support::hex64(fnv1a64(canon));
 }
 
 std::string emit_artifact(const core::CompileResult& result,
@@ -67,7 +41,7 @@ std::string emit_artifact(const core::CompileResult& result,
   w.key("schema").value("hicbin-v1");
   w.key("source_name").value(opt.source_name);
   w.key("source").value(source);
-  w.key("organization").value(org_name(opt.organization));
+  w.key("organization").value(sim::to_string(opt.organization));
   w.key("use_cam").value(opt.use_cam);
   w.key("chain").value(opt.schedule.chain_states);
   w.key("infer_dependencies").value(opt.infer_dependencies);
@@ -149,7 +123,7 @@ std::string emit_artifact(const core::CompileResult& result,
   std::string out = support::format(
       "%s %d %llu %s\n", kArtifactMagic, kArtifactVersion,
       static_cast<unsigned long long>(payload.size()),
-      hex64(fnv1a64(payload)).c_str());
+      support::hex64(fnv1a64(payload)).c_str());
   out += payload;
   return out;
 }
@@ -296,7 +270,7 @@ bool parse_artifact(std::string_view bytes, Artifact* out,
                               static_cast<unsigned long long>(payload.size() -
                                                               declared)));
   }
-  if (hex64(fnv1a64(payload)) != fields[3]) {
+  if (support::hex64(fnv1a64(payload)) != fields[3]) {
     return corrupt(error, "payload digest mismatch (artifact is corrupt)");
   }
 
@@ -330,7 +304,8 @@ bool parse_artifact(std::string_view bytes, Artifact* out,
       !get_string(root, "sema_digest", "payload", &art.sema_digest, error)) {
     return false;
   }
-  if (art.organization != "arbitrated" && art.organization != "event-driven") {
+  sim::OrgKind org{};
+  if (!sim::parse_org(art.organization, &org)) {
     return corrupt(error,
                    "unknown organization '" + art.organization + "'");
   }

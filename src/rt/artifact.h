@@ -29,6 +29,8 @@
 #include <string_view>
 #include <vector>
 
+#include "support/hash.h"
+
 namespace hicsync::core {
 class CompileResult;
 }
@@ -119,9 +121,9 @@ struct Artifact {
   std::vector<ArtifactController> controllers;
 };
 
-/// FNV-1a 64 over `bytes` (the header digest and the sema digest both use
-/// it; exposed so tests can forge/verify frames).
-[[nodiscard]] std::uint64_t fnv1a64(std::string_view bytes);
+/// FNV-1a 64 (the header digest and the sema digest both use it; exposed
+/// so tests can forge/verify frames).
+using support::fnv1a64;
 
 /// Canonical digest of a Sema: thread names, symbol declarations (name,
 /// width, element count, memory residency) and bound dependencies in

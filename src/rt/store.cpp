@@ -1,10 +1,9 @@
 #include "rt/store.h"
 
-#include <fstream>
-#include <sstream>
 
 #include "hic/infer.h"
 #include "hic/parser.h"
+#include "support/file.h"
 #include "support/strings.h"
 
 namespace hicsync::rt {
@@ -75,9 +74,7 @@ std::shared_ptr<const LoadedProgram> load_program(const Artifact& artifact,
   // shared_ptr<LoadedProgram> during construction, const on return.
   std::shared_ptr<LoadedProgram> lp(new LoadedProgram());
   lp->artifact_ = artifact;
-  lp->organization_ = artifact.organization == "event-driven"
-                          ? sim::OrgKind::EventDriven
-                          : sim::OrgKind::Arbitrated;
+  (void)sim::parse_org(artifact.organization, &lp->organization_);
   lp->diags_.set_source_name(artifact.source_name);
 
   // Front end only: parse → (infer) → sema. The embedded source was
@@ -216,14 +213,12 @@ std::shared_ptr<const LoadedProgram> ProgramStore::load_bytes(
 
 std::shared_ptr<const LoadedProgram> ProgramStore::load_file(
     const std::string& path, ArtifactError* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  std::string bytes;
+  if (!support::read_file(path, &bytes)) {
     fail(error, "rt-io-error", "cannot read artifact file " + path);
     return nullptr;
   }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return load_bytes(ss.str(), error);
+  return load_bytes(bytes, error);
 }
 
 std::shared_ptr<const LoadedProgram> ProgramStore::get(

@@ -4,6 +4,7 @@
 #include <fstream>
 
 #include "support/strings.h"
+#include "trace/chrome.h"
 
 namespace hicsync::rt {
 
@@ -319,36 +320,21 @@ void ShardTelemetry::append_chrome_events(
       args += ",\"tag\":\"" + support::json_escape(span.tag) + "\"";
     }
     args += "}";
-    events->push_back(support::format(
-        "{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%llu,\"dur\":%llu,"
-        "\"pid\":1,\"tid\":%d,\"args\":%s}",
-        span.kind, static_cast<unsigned long long>(ts),
-        static_cast<unsigned long long>(dur), shard_ + 1, args.c_str()));
+    events->push_back(
+        trace::chrome::complete(span.kind, ts, dur, 1, shard_ + 1, args));
   }
 }
 
 std::string compose_chrome_trace(int shards,
                                  const std::vector<std::string>& events) {
   std::vector<std::string> lines;
-  lines.push_back(
-      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
-      "\"args\":{\"name\":\"hic-rt\"}}");
+  lines.push_back(trace::chrome::process_name(1, "hic-rt"));
   for (int i = 0; i < shards; ++i) {
-    lines.push_back(support::format(
-        "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,"
-        "\"args\":{\"name\":\"shard %d\"}}",
-        i + 1, i));
+    lines.push_back(
+        trace::chrome::thread_name(1, i + 1, "shard " + std::to_string(i)));
   }
   lines.insert(lines.end(), events.begin(), events.end());
-
-  std::string out = "{\"traceEvents\":[\n";
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    out += lines[i];
-    if (i + 1 < lines.size()) out += ",";
-    out += "\n";
-  }
-  out += "],\"displayTimeUnit\":\"ns\"}\n";
-  return out;
+  return trace::chrome::document(lines);
 }
 
 }  // namespace hicsync::rt

@@ -34,16 +34,6 @@ std::string u64_str(std::uint64_t v) {
   return support::format("%llu", static_cast<unsigned long long>(v));
 }
 
-bool parse_u64(const std::string& s, std::uint64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end == nullptr || *end != '\0') return false;
-  *out = static_cast<std::uint64_t>(v);
-  return true;
-}
-
 /// Session id from the request; false fills *resp with the error line.
 bool get_session(const support::JsonValue& req, std::uint64_t* session,
                  std::string* resp) {
@@ -175,7 +165,7 @@ std::string handle_request_line(Service& service, std::string_view line) {
       std::uint64_t v = 0;
       if (e.is_number() && e.number_value >= 0) {
         v = static_cast<std::uint64_t>(e.number_value);
-      } else if (!e.is_string() || !parse_u64(e.string_value, &v)) {
+      } else if (!e.is_string() || !support::parse_u64(e.string_value, &v)) {
         return error_line(
             "rt-bad-request: 'words' entries must be decimal strings");
       }
@@ -607,7 +597,8 @@ bool RemoteClient::consume(
       const support::JsonValue* value = e.find("value");
       std::uint64_t parsed = 0;
       if (name == nullptr || !name->is_string() || value == nullptr ||
-          !value->is_string() || !parse_u64(value->string_value, &parsed)) {
+          !value->is_string() ||
+          !support::parse_u64(value->string_value, &parsed)) {
         if (error != nullptr) {
           *error = "rt-bad-response: malformed register entry";
         }

@@ -4,7 +4,6 @@
 #include <set>
 
 #include "memalloc/sizing.h"
-#include "rt/artifact.h"
 
 namespace hicsync::rt {
 
@@ -40,15 +39,6 @@ void collect_calls(const std::vector<hic::StmtPtr>& body,
 
 }  // namespace
 
-std::uint64_t fold_seed(std::uint64_t seed, const std::uint64_t* words,
-                        std::size_t count) {
-  for (std::size_t i = 0; i < count; ++i) {
-    seed ^= words[i] + 0x9e3779b97f4a7c15ull + (seed << 6) + (seed >> 2);
-    seed *= 1099511628211ull;
-  }
-  return seed;
-}
-
 std::vector<std::string> extern_calls(const hic::Program& program) {
   std::set<std::string> names;
   for (const hic::ThreadDecl& t : program.threads) {
@@ -60,15 +50,11 @@ std::vector<std::string> extern_calls(const hic::Program& program) {
 void seed_externs(sim::SystemSim& sim, const hic::Program& program,
                   std::uint64_t seed) {
   for (const std::string& name : extern_calls(program)) {
-    std::uint64_t base = fnv1a64(name) ^ (seed * 0x9e3779b97f4a7c15ull);
+    const std::uint64_t base =
+        support::fnv1a64(name) ^ (seed * support::kGoldenGamma);
     sim.externs().register_fn(
         name, [base](const std::vector<std::uint64_t>& args) {
-          std::uint64_t h = base;
-          for (std::uint64_t a : args) {
-            h ^= a + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-            h *= 1099511628211ull;
-          }
-          return h;
+          return fold_seed(base, args.data(), args.size());
         });
   }
 }

@@ -19,19 +19,26 @@
 #include "hic/ast.h"
 #include "hic/sema.h"
 #include "sim/system.h"
+#include "support/hash.h"
 
 namespace hicsync::rt {
 
 /// Starting value of a session's input seed (the FNV-1a offset basis).
-inline constexpr std::uint64_t kWorkloadSeedInit = 14695981039346656037ull;
+inline constexpr std::uint64_t kWorkloadSeedInit = support::kFnvOffset;
 
-/// Folds `count` payload words into `seed` (order-sensitive, FNV-style).
-/// A session's produce commands accumulate into its seed with this; the
-/// differential tests fold the same words the same way to reproduce a
-/// session's inputs on a fresh simulator.
-[[nodiscard]] std::uint64_t fold_seed(std::uint64_t seed,
-                                      const std::uint64_t* words,
-                                      std::size_t count);
+/// Folds `count` payload words into `seed` (order-sensitive: hash_combine
+/// then an FNV-prime multiply per word). A session's produce commands
+/// accumulate into its seed with this; the differential tests fold the
+/// same words the same way to reproduce a session's inputs on a fresh
+/// simulator.
+[[nodiscard]] inline std::uint64_t fold_seed(std::uint64_t seed,
+                                             const std::uint64_t* words,
+                                             std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) {
+    seed = support::hash_combine(seed, words[i]) * support::kFnvPrime;
+  }
+  return seed;
+}
 
 /// Names of every opaque extern call in the program, deduplicated and
 /// sorted (deterministic across traversal orders).

@@ -1,22 +1,18 @@
 #include "sim/externs.h"
 
+#include "support/hash.h"
+
 namespace hicsync::sim {
-namespace {
-
-std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-  return h;
-}
-
-}  // namespace
 
 std::uint64_t ExternFuncs::eval(const std::string& name,
                                 const std::vector<std::uint64_t>& args) const {
   auto it = fns_.find(name);
   if (it != fns_.end()) return it->second(args);
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (char c : name) h = mix(h, static_cast<std::uint64_t>(c));
-  for (std::uint64_t a : args) h = mix(h, a);
+  std::uint64_t h = support::kFnvOffset;
+  for (char c : name) {
+    h = support::hash_combine(h, static_cast<std::uint64_t>(c));
+  }
+  for (std::uint64_t a : args) h = support::hash_combine(h, a);
   return h;
 }
 

@@ -18,6 +18,16 @@ const char* to_string(OrgKind k) {
   return "unknown";
 }
 
+bool parse_org(std::string_view name, OrgKind* out) {
+  for (OrgKind k : {OrgKind::Arbitrated, OrgKind::EventDriven}) {
+    if (name == to_string(k)) {
+      *out = k;
+      return true;
+    }
+  }
+  return false;
+}
+
 std::uint64_t DepRound::completion_latency() const {
   std::uint64_t last = produce_grant_cycle;
   for (const auto& [thread, cycle] : consume_cycles) {

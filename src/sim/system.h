@@ -17,6 +17,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "hic/sema.h"
@@ -33,7 +34,11 @@ namespace hicsync::sim {
 
 enum class OrgKind { Arbitrated, EventDriven };
 
+/// "arbitrated" / "event-driven": the spelling of every CLI --org flag,
+/// hicbin artifact and report.
 [[nodiscard]] const char* to_string(OrgKind k);
+/// Inverse of to_string; false (and `out` untouched) for any other name.
+[[nodiscard]] bool parse_org(std::string_view name, OrgKind* out);
 
 struct SystemOptions {
   OrgKind organization = OrgKind::Arbitrated;

@@ -286,8 +286,12 @@ class Parser {
     return true;
   }
 
-  bool parse_value(JsonValue* out) {
+  /// `depth` counts the arrays and objects enclosing this value.
+  bool parse_value(JsonValue* out, int depth = 0) {
     skip_ws();
+    if ((peek() == '{' || peek() == '[') && depth == kMaxJsonDepth) {
+      return fail("nesting deeper than " + std::to_string(kMaxJsonDepth));
+    }
     switch (peek()) {
       case '{': {
         ++pos_;
@@ -304,7 +308,7 @@ class Parser {
           skip_ws();
           if (!consume(':')) return false;
           JsonValue v;
-          if (!parse_value(&v)) return false;
+          if (!parse_value(&v, depth + 1)) return false;
           out->members.emplace_back(std::move(key), std::move(v));
           skip_ws();
           if (peek() == ',') {
@@ -324,7 +328,7 @@ class Parser {
         }
         while (true) {
           JsonValue v;
-          if (!parse_value(&v)) return false;
+          if (!parse_value(&v, depth + 1)) return false;
           out->elements.push_back(std::move(v));
           skip_ws();
           if (peek() == ',') {

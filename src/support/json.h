@@ -99,8 +99,14 @@ class JsonValue {
   [[nodiscard]] const JsonValue* find(std::string_view key) const;
 };
 
+/// Deepest array/object nesting parse_json accepts. The parser recurses
+/// once per level, and a socket line or file is untrusted input; every
+/// document this toolchain writes nests at most 6 deep.
+inline constexpr int kMaxJsonDepth = 64;
+
 /// Parses one JSON document. Returns false (and fills `error`, if given)
-/// on malformed input or trailing garbage.
+/// on malformed input, trailing garbage, or nesting deeper than
+/// kMaxJsonDepth ("nesting deeper than 64 at offset N").
 [[nodiscard]] bool parse_json(std::string_view text, JsonValue* out,
                               std::string* error = nullptr);
 

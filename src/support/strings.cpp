@@ -2,7 +2,10 @@
 
 #include <cctype>
 #include <cstdarg>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
 
 namespace hicsync::support {
 
@@ -71,6 +74,48 @@ std::string indent(std::string_view s, int n) {
     start = pos + 1;
   }
   return out;
+}
+
+bool parse_u64(std::string_view s, std::uint64_t* out) {
+  if (s.empty()) return false;
+  std::uint64_t v = 0;
+  for (char c : s) {
+    if (c < '0' || c > '9') return false;
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (v > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
+      return false;
+    }
+    v = v * 10 + digit;
+  }
+  *out = v;
+  return true;
+}
+
+bool parse_int(std::string_view s, int* out) {
+  const bool negative = !s.empty() && s.front() == '-';
+  std::uint64_t magnitude = 0;
+  if (!parse_u64(negative ? s.substr(1) : s, &magnitude)) return false;
+  const std::uint64_t limit =
+      static_cast<std::uint64_t>(std::numeric_limits<int>::max()) +
+      (negative ? 1 : 0);
+  if (magnitude > limit) return false;
+  *out = negative ? static_cast<int>(-static_cast<std::int64_t>(magnitude))
+                  : static_cast<int>(magnitude);
+  return true;
+}
+
+bool parse_double(std::string_view s, double* out) {
+  // strtod alone would also take whitespace, hex, "inf" and "nan".
+  if (s.empty() ||
+      s.find_first_not_of("0123456789.eE+-") != std::string_view::npos) {
+    return false;
+  }
+  const std::string text(s);
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (end != text.c_str() + text.size() || !std::isfinite(v)) return false;
+  *out = v;
+  return true;
 }
 
 std::string format(const char* fmt, ...) {

@@ -12,8 +12,9 @@
 // worst-case blocking (boundedness plus a saturating steps/cycles bound),
 // and dead pseudo-ports with an estimated flip-flop saving. Every interval
 // provably contains hic-verify's exact value, and the analysis completes
-// in milliseconds at consumer counts where the checker exhausts any state
-// budget.
+// at consumer counts where the checker exhausts any state budget: about
+// 0.37 s per organization at 1024 consumers (hic-bench compile_corpus,
+// bound.analyze_ms; docs/ANALYSIS.md).
 //
 // Exit status:
 //   0  every bound holds (occupancy within capacity everywhere)
@@ -22,16 +23,14 @@
 //   6  a bound was exceeded (reported with a bound-* check ID)
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bound/bound.h"
 #include "core/compiler.h"
 #include "support/json.h"
+#include "support/strings.h"
+#include "tools/cli.h"
 
 using namespace hicsync;
 
@@ -46,11 +45,6 @@ constexpr const char* kUsageBody =
     // here and in README.md.
     "exit codes: 0 bounds hold, 1 compile error, 2 usage, 6 bound exceeded\n";
 
-void usage(const char* argv0) {
-  std::fprintf(stderr, "usage: %s [options] <file.hic | ->\n%s", argv0,
-               kUsageBody);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -61,75 +55,38 @@ int main(int argc, char** argv) {
   bool infer = false;
   bool json_out = false;
 
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        usage(argv[0]);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+  cli::Args args(argc, argv,
+                 support::format("usage: %s [options] <file.hic | ->\n%s",
+                                 argv[0], kUsageBody));
+  while (args.next()) {
+    const std::string& arg = args.arg();
     if (arg == "--org") {
-      std::string org = next();
-      if (org == "arbitrated") {
-        orgs.push_back(sim::OrgKind::Arbitrated);
-      } else if (org == "event-driven") {
-        orgs.push_back(sim::OrgKind::EventDriven);
-      } else {
-        std::fprintf(stderr, "unknown organization '%s'\n", org.c_str());
-        return 2;
-      }
+      orgs.push_back(args.next_org());
     } else if (arg == "--explain") {
       bopts.explain = true;
     } else if (arg == "--infer") {
       infer = true;
     } else if (arg == "--json") {
       json_out = true;
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
-      std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-      usage(argv[0]);
-      return 2;
-    } else if (input.empty()) {
+    } else if (args.positional() || arg == "-") {
+      if (!input.empty()) return args.usage_error();
       input = arg;
     } else {
-      usage(argv[0]);
-      return 2;
+      return args.unhandled();
     }
   }
-  if (input.empty()) {
-    usage(argv[0]);
-    return 2;
-  }
+  if (input.empty()) return args.usage_error();
   if (orgs.empty()) {
     orgs = {sim::OrgKind::Arbitrated, sim::OrgKind::EventDriven};
   }
 
   std::string source;
   std::string source_name;
-  if (input == "-") {
-    std::ostringstream ss;
-    ss << std::cin.rdbuf();
-    source = ss.str();
-    source_name = "<stdin>";
-  } else {
-    std::ifstream in(input);
-    if (!in) {
-      std::fprintf(stderr, "cannot open '%s'\n", input.c_str());
-      return 2;
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    source = ss.str();
-    source_name = input;
-  }
+  if (!cli::read_source(input, &source, &source_name)) return 2;
 
   // One front-end + allocation pass feeds every organization; lint-only
   // mode stops the flow after port planning — the clients need no RTL, so
-  // a 1024-consumer program analyzes in milliseconds.
+  // a 1024-consumer program costs only the front end plus the analysis.
   core::CompileOptions copts;
   copts.source_name = source_name;
   copts.infer_dependencies = infer;

@@ -25,15 +25,15 @@
 //      schema-skewed record)
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "cover/db.h"
 #include "cover/registry.h"
 #include "cover/report.h"
+#include "support/strings.h"
+#include "tools/cli.h"
 
 using namespace hicsync;
 
@@ -46,11 +46,6 @@ constexpr const char* kUsageBody =
     "  --check --min <pct> [--group <prefix>]\n"
     "exit codes: 0 ok, 1 below threshold, 2 usage, 3 no coverage data\n";
 
-void usage(const char* argv0) {
-  std::fprintf(stderr, "usage: %s [options] <db.jsonl>...\n%s", argv0,
-               kUsageBody);
-}
-
 void list_covergroups() {
   std::printf("registered covergroups (qualified as <org>.<id>):\n");
   for (const auto& info : cover::CoverRegistry::builtin().infos()) {
@@ -59,21 +54,6 @@ void list_covergroups() {
                                                 : "";
     std::printf("  %-20s %s%s\n", info.id, info.description, scope);
   }
-}
-
-bool write_output(const std::string& out_path, const std::string& body) {
-  if (out_path.empty()) {
-    std::printf("%s", body.c_str());
-    return true;
-  }
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write '%s'\n", out_path.c_str());
-    return false;
-  }
-  out << body;
-  std::printf("wrote %s\n", out_path.c_str());
-  return true;
 }
 
 }  // namespace
@@ -88,15 +68,11 @@ int main(int argc, char** argv) {
   bool check = false;
   double min_pct = -1.0;
 
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        usage(argv[0]);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+  cli::Args args(argc, argv,
+                 support::format("usage: %s [options] <db.jsonl>...\n%s",
+                                 argv[0], kUsageBody));
+  while (args.next()) {
+    const std::string& arg = args.arg();
     if (arg == "--list") {
       list = true;
     } else if (arg == "--report" || arg.rfind("--report=", 0) == 0) {
@@ -110,26 +86,17 @@ int main(int argc, char** argv) {
     } else if (arg == "--merge") {
       merge = true;
     } else if (arg == "--out") {
-      out_path = next();
+      out_path = args.next_value();
     } else if (arg == "--check") {
       check = true;
-    } else if (arg == "--min") {
-      min_pct = std::atof(next());
-    } else if (arg.rfind("--min=", 0) == 0) {
-      min_pct = std::atof(arg.substr(std::strlen("--min=")).c_str());
-    } else if (arg == "--group") {
-      group_prefix = next();
-    } else if (arg.rfind("--group=", 0) == 0) {
-      group_prefix = arg.substr(std::strlen("--group="));
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-      usage(argv[0]);
-      return 2;
-    } else {
+    } else if (args.option("--min")) {
+      min_pct = args.next_double();
+    } else if (args.option("--group")) {
+      group_prefix = args.next_value();
+    } else if (args.positional()) {
       inputs.push_back(arg);
+    } else {
+      return args.unhandled();
     }
   }
 
@@ -141,12 +108,11 @@ int main(int argc, char** argv) {
   }
   if (check && min_pct < 0.0) {
     std::fprintf(stderr, "--check needs --min <pct>\n");
-    usage(argv[0]);
-    return 2;
+    return args.usage_error();
   }
   if (inputs.empty()) {
     std::fprintf(stderr, "no coverage DB files given\n");
-    usage(argv[0]);
+    args.usage();
     return 3;
   }
 
@@ -169,7 +135,7 @@ int main(int argc, char** argv) {
   if (merge) {
     const std::string record =
         cover::to_record(model, "merged", "merged") + "\n";
-    if (!write_output(out_path, record)) return 2;
+    if (!cli::write_output(out_path, record)) return 2;
   }
 
   // Rendering the report is the default action.
@@ -177,7 +143,7 @@ int main(int argc, char** argv) {
     const std::string body = report_format == "json"
                                  ? cover::emit_report_json(model) + "\n"
                                  : cover::emit_report_md(model);
-    if (!write_output(out_path, body)) return 2;
+    if (!cli::write_output(out_path, body)) return 2;
   }
 
   if (check) {

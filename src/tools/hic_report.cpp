@@ -33,10 +33,6 @@
 //   5  --check-drift found committed tables diverging from regenerated
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "diffview/delta.h"
@@ -45,6 +41,7 @@
 #include "perf/history.h"
 #include "perf/report.h"
 #include "support/strings.h"
+#include "tools/cli.h"
 
 using namespace hicsync;
 
@@ -58,25 +55,6 @@ constexpr const char* kUsageBody =
     "  --threshold <key>=<pct> | --threshold <pct>\n"
     "  --diff <bundleA> <bundleB>\n"
     "exit codes: 0 ok, 1 check failed, 2 usage, 3 missing data, 5 drift\n";
-
-void usage(const char* argv0) {
-  std::fprintf(stderr, "usage: %s [options]\n%s", argv0, kUsageBody);
-}
-
-bool write_output(const std::string& out_path, const std::string& body) {
-  if (out_path.empty()) {
-    std::printf("%s", body.c_str());
-    return true;
-  }
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write '%s'\n", out_path.c_str());
-    return false;
-  }
-  out << body;
-  std::printf("wrote %s\n", out_path.c_str());
-  return true;
-}
 
 }  // namespace
 
@@ -95,27 +73,23 @@ int main(int argc, char** argv) {
   bool emit_explicit = false;
   perf::CompareOptions compare_options;
 
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        usage(argv[0]);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+  cli::Args args(argc, argv,
+                 support::format("usage: %s [options]\n%s", argv[0],
+                                 kUsageBody));
+  while (args.next()) {
+    const std::string& arg = args.arg();
     if (arg == "--bench-dir") {
-      bench_dir = next();
+      bench_dir = args.next_value();
     } else if (arg == "--history") {
-      history_dir = next();
+      history_dir = args.next_value();
     } else if (arg == "--ingest") {
       ingest = true;
     } else if (arg == "--run-id") {
-      run_id = next();
+      run_id = args.next_value();
     } else if (arg == "--timestamp") {
-      timestamp = next();
-    } else if (arg == "--emit" || arg.rfind("--emit=", 0) == 0) {
-      emit = arg == "--emit" ? next() : arg.substr(std::strlen("--emit="));
+      timestamp = args.next_value();
+    } else if (args.option("--emit")) {
+      emit = args.next_value();
       emit_explicit = true;
       if (emit != "dashboard-md" && emit != "experiments-md" &&
           emit != "html") {
@@ -123,42 +97,31 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--out") {
-      out_path = next();
+      out_path = args.next_value();
     } else if (arg == "--check") {
       check = true;
     } else if (arg == "--check-drift") {
-      drift_file = next();
+      drift_file = args.next_value();
     } else if (arg == "--diff") {
-      diff_a = next();
-      diff_b = next();
+      diff_a = args.next_value();
+      diff_b = args.next_value();
     } else if (arg == "--threshold") {
-      std::string spec = next();
-      std::size_t eq = spec.find('=');
-      char* end = nullptr;
-      if (eq == std::string::npos) {
-        compare_options.default_threshold_pct =
-            std::strtod(spec.c_str(), &end);
-        if (end == nullptr || *end != '\0') {
-          std::fprintf(stderr, "bad --threshold '%s'\n", spec.c_str());
-          return 2;
-        }
-      } else {
-        const std::string key = spec.substr(0, eq);
-        const std::string pct = spec.substr(eq + 1);
-        double value = std::strtod(pct.c_str(), &end);
-        if (key.empty() || end == nullptr || *end != '\0') {
-          std::fprintf(stderr, "bad --threshold '%s'\n", spec.c_str());
-          return 2;
-        }
-        compare_options.threshold_pct[key] = value;
+      const std::string spec = args.next_value();
+      const std::size_t eq = spec.find('=');
+      const bool keyed = eq != std::string::npos;
+      double pct = 0.0;
+      if ((keyed && eq == 0) ||
+          !support::parse_double(keyed ? spec.substr(eq + 1) : spec, &pct)) {
+        std::fprintf(stderr, "bad --threshold '%s'\n", spec.c_str());
+        return 2;
       }
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      return 0;
+      if (keyed) {
+        compare_options.threshold_pct[spec.substr(0, eq)] = pct;
+      } else {
+        compare_options.default_threshold_pct = pct;
+      }
     } else {
-      std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-      usage(argv[0]);
-      return 2;
+      return args.unhandled();
     }
   }
 
@@ -188,16 +151,11 @@ int main(int argc, char** argv) {
   int exit_code = 0;
 
   if (!drift_file.empty()) {
-    std::ifstream in(drift_file);
-    if (!in) {
-      std::fprintf(stderr, "cannot open '%s'\n", drift_file.c_str());
-      return 2;
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
+    std::string committed;
+    if (!cli::read_file(drift_file, &committed)) return 2;
     const std::string generated = perf::emit_experiments_md(inputs);
     std::vector<std::string> missing =
-        perf::check_drift(ss.str(), generated);
+        perf::check_drift(committed, generated);
     if (inputs.latest.empty()) {
       std::fprintf(stderr, "--check-drift: no bench history to regenerate "
                            "from\n");
@@ -290,7 +248,7 @@ int main(int argc, char** argv) {
       }
       body += "\n" + diffview::diff_bundles(a, b).markdown();
     }
-    if (!write_output(out_path, body)) return 2;
+    if (!cli::write_output(out_path, body)) return 2;
   }
   return exit_code;
 }

@@ -49,11 +49,9 @@
 //   3  artifact rejected (rt-bad-magic/rt-version-skew/rt-truncated/...)
 //   4  socket error (cannot bind/connect/speak the protocol)
 
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -64,6 +62,7 @@
 #include "rt/wire.h"
 #include "support/json.h"
 #include "support/strings.h"
+#include "tools/cli.h"
 
 using namespace hicsync;
 
@@ -119,12 +118,12 @@ struct Args {
   bool do_close = false;
 };
 
+/// Comma-separated decimal words (support::parse_u64 each).
 bool parse_words(const std::string& csv, std::vector<std::uint64_t>* out) {
   for (const std::string& part : support::split(csv, ',')) {
-    char* end = nullptr;
-    unsigned long long v = std::strtoull(part.c_str(), &end, 0);
-    if (end == nullptr || *end != '\0' || part.empty()) return false;
-    out->push_back(static_cast<std::uint64_t>(v));
+    std::uint64_t v = 0;
+    if (!support::parse_u64(part, &v)) return false;
+    out->push_back(v);
   }
   return true;
 }
@@ -147,15 +146,9 @@ int dump_telemetry(const Args& args, rt::Service& service) {
   if (!service.telemetry_enabled()) return 0;
   std::printf("%s", service.telemetry_text().c_str());
   if (args.trace_out.empty()) return 0;
-  std::FILE* f = std::fopen(args.trace_out.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s: %s\n", args.trace_out.c_str(),
-                 std::strerror(errno));
+  if (!cli::write_file(args.trace_out, service.telemetry_chrome_json())) {
     return 1;
   }
-  std::string doc = service.telemetry_chrome_json();
-  std::fwrite(doc.data(), 1, doc.size(), f);
-  std::fclose(f);
   std::printf("telemetry: chrome trace written to %s\n",
               args.trace_out.c_str());
   return 0;
@@ -171,6 +164,15 @@ int client_exit_code(const std::string& error) {
     return 4;
   }
   return 1;
+}
+
+/// serve, submit, stats and watch need --socket; a missing one is
+/// reported with the usage.
+bool has_socket(const Args& args) {
+  if (!args.socket_path.empty()) return true;
+  std::fprintf(stderr, "%s needs --socket\n", args.mode.c_str());
+  usage();
+  return false;
 }
 
 std::shared_ptr<const rt::LoadedProgram> load_or_die(const Args& args,
@@ -191,11 +193,7 @@ std::shared_ptr<const rt::LoadedProgram> load_or_die(const Args& args,
 }
 
 int cmd_serve(const Args& args) {
-  if (args.socket_path.empty()) {
-    std::fprintf(stderr, "serve needs --socket\n");
-    usage();
-    return 2;
-  }
+  if (!has_socket(args)) return 2;
   rt::ProgramStore store;
   auto program = load_or_die(args, store);
   rt::Service service(program, service_options(args));
@@ -287,11 +285,7 @@ int cmd_run(const Args& args) {
 }
 
 int cmd_submit(const Args& args) {
-  if (args.socket_path.empty()) {
-    std::fprintf(stderr, "submit needs --socket\n");
-    usage();
-    return 2;
-  }
+  if (!has_socket(args)) return 2;
   rt::RemoteClient client;
   std::string error;
   if (!client.connect(args.socket_path, &error)) {
@@ -348,11 +342,7 @@ int cmd_submit(const Args& args) {
 }
 
 int cmd_stats(const Args& args) {
-  if (args.socket_path.empty()) {
-    std::fprintf(stderr, "stats needs --socket\n");
-    usage();
-    return 2;
-  }
+  if (!has_socket(args)) return 2;
   rt::RemoteClient client;
   std::string error;
   if (!client.connect(args.socket_path, &error)) {
@@ -421,11 +411,7 @@ bool render_watch_frame(const std::string& telemetry_json, int poll) {
 }
 
 int cmd_watch(const Args& args) {
-  if (args.socket_path.empty()) {
-    std::fprintf(stderr, "watch needs --socket\n");
-    usage();
-    return 2;
-  }
+  if (!has_socket(args)) return 2;
   rt::RemoteClient client;
   std::string error;
   if (!client.connect(args.socket_path, &error)) {
@@ -469,75 +455,68 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        usage();
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+  cli::Args walker(argc - 1, argv + 1, kUsage);
+  while (walker.next()) {
+    const std::string& arg = walker.arg();
     if (arg == "--artifact") {
-      args.artifact = next();
+      args.artifact = walker.next_value();
     } else if (arg == "--socket") {
-      args.socket_path = next();
+      args.socket_path = walker.next_value();
     } else if (arg == "--shards") {
-      args.shards = std::atoi(next());
+      args.shards = walker.next_int();
     } else if (arg == "--sessions") {
-      args.sessions = std::atoi(next());
+      args.sessions = walker.next_int();
     } else if (arg == "--passes") {
-      args.passes = std::atoi(next());
+      args.passes = walker.next_int();
     } else if (arg == "--produces") {
-      args.produces = std::atoi(next());
+      args.produces = walker.next_int();
     } else if (arg == "--max-cycles") {
-      args.max_cycles = static_cast<std::uint64_t>(std::atoll(next()));
+      args.max_cycles = walker.next_u64();
     } else if (arg == "--metrics") {
       args.metrics = true;
     } else if (arg == "--telemetry") {
       args.telemetry = true;
     } else if (arg == "--slow-us") {
-      args.slow_us = static_cast<std::uint64_t>(std::atoll(next()));
+      args.slow_us = walker.next_u64();
     } else if (arg == "--slow-log") {
-      args.slow_log = next();
+      args.slow_log = walker.next_value();
     } else if (arg == "--telemetry-ring") {
-      args.telemetry_ring = static_cast<std::size_t>(std::atoll(next()));
+      args.telemetry_ring = walker.next_u64();
     } else if (arg == "--trace-out") {
-      args.trace_out = next();
+      args.trace_out = walker.next_value();
     } else if (arg == "--interval-ms") {
-      args.interval_ms = std::atoi(next());
+      args.interval_ms = walker.next_int();
     } else if (arg == "--count") {
-      args.count = std::atoi(next());
+      args.count = walker.next_int();
     } else if (arg == "--json") {
       args.json = true;
     } else if (arg == "--tag") {
-      args.tag = next();
+      args.tag = walker.next_value();
     } else if (arg == "--open") {
       args.do_open = true;
     } else if (arg == "--session") {
-      args.session = static_cast<std::uint64_t>(std::atoll(next()));
+      args.session = walker.next_u64();
       args.have_session = true;
     } else if (arg == "--produce") {
       args.do_produce = true;
-      if (!parse_words(next(), &args.produce_words)) {
+      if (!parse_words(walker.next_value(), &args.produce_words)) {
         std::fprintf(stderr, "bad --produce word list\n");
         return 2;
       }
     } else if (arg == "--run") {
       args.do_run = true;
-      args.run_passes = std::atoi(next());
+      args.run_passes = walker.next_int();
     } else if (arg == "--consume") {
       args.do_consume = true;
-      std::string csv = next();
+      std::string csv = walker.next_value();
       if (csv != "all") {
         args.consume_names = support::split(csv, ',');
       }
     } else if (arg == "--close") {
       args.do_close = true;
     } else {
-      std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-      usage();
-      return 2;
+      // --help is only a mode-position flag here.
+      return walker.unknown_option();
     }
   }
 

@@ -31,16 +31,13 @@
 //   5  a property was refuted (counterexample reported)
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/compiler.h"
 #include "support/json.h"
+#include "support/strings.h"
+#include "tools/cli.h"
 #include "verify/checker.h"
 #include "verify/replay.h"
 
@@ -62,11 +59,6 @@ constexpr const char* kUsageBody =
     // here and in README.md.
     "exit codes: 0 verified, 1 compile error, 2 usage, 3 inconclusive, 5 refuted\n";  // NOLINT(whitespace/line_length)
 
-void usage(const char* argv0) {
-  std::fprintf(stderr, "usage: %s [options] <file.hic | ->\n%s", argv0,
-               kUsageBody);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -80,29 +72,17 @@ int main(int argc, char** argv) {
   bool infer = false;
   bool json_out = false;
 
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        usage(argv[0]);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+  cli::Args args(argc, argv,
+                 support::format("usage: %s [options] <file.hic | ->\n%s",
+                                 argv[0], kUsageBody));
+  while (args.next()) {
+    const std::string& arg = args.arg();
     if (arg == "--org") {
-      std::string org = next();
-      if (org == "arbitrated") {
-        orgs.push_back(sim::OrgKind::Arbitrated);
-      } else if (org == "event-driven") {
-        orgs.push_back(sim::OrgKind::EventDriven);
-      } else {
-        std::fprintf(stderr, "unknown organization '%s'\n", org.c_str());
-        return 2;
-      }
+      orgs.push_back(args.next_org());
     } else if (arg == "--max-states") {
-      vopts.max_states = static_cast<std::uint64_t>(std::atoll(next()));
+      vopts.max_states = args.next_u64();
     } else if (arg == "--max-depth") {
-      vopts.max_depth = static_cast<std::uint64_t>(std::atoll(next()));
+      vopts.max_depth = args.next_u64();
     } else if (arg == "--no-por") {
       vopts.por = false;
     } else if (arg == "--no-bounds") {
@@ -110,53 +90,28 @@ int main(int argc, char** argv) {
     } else if (arg == "--replay") {
       do_replay = true;
     } else if (arg == "--replay-max-cycles") {
-      ropts.max_cycles = static_cast<std::uint64_t>(std::atoll(next()));
+      ropts.max_cycles = args.next_u64();
     } else if (arg == "--cex-out") {
-      cex_out = next();
+      cex_out = args.next_value();
     } else if (arg == "--infer") {
       infer = true;
     } else if (arg == "--json") {
       json_out = true;
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
-      std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-      usage(argv[0]);
-      return 2;
-    } else if (input.empty()) {
+    } else if (args.positional() || arg == "-") {
+      if (!input.empty()) return args.usage_error();
       input = arg;
     } else {
-      usage(argv[0]);
-      return 2;
+      return args.unhandled();
     }
   }
-  if (input.empty()) {
-    usage(argv[0]);
-    return 2;
-  }
+  if (input.empty()) return args.usage_error();
   if (orgs.empty()) {
     orgs = {sim::OrgKind::Arbitrated, sim::OrgKind::EventDriven};
   }
 
   std::string source;
   std::string source_name;
-  if (input == "-") {
-    std::ostringstream ss;
-    ss << std::cin.rdbuf();
-    source = ss.str();
-    source_name = "<stdin>";
-  } else {
-    std::ifstream in(input);
-    if (!in) {
-      std::fprintf(stderr, "cannot open '%s'\n", input.c_str());
-      return 2;
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    source = ss.str();
-    source_name = input;
-  }
+  if (!cli::read_source(input, &source, &source_name)) return 2;
 
   // One front-end + allocation pass feeds every organization: the memory
   // map and port plans do not depend on the organization choice, only the
@@ -205,12 +160,7 @@ int main(int argc, char** argv) {
     }
     w.end_array();
     w.end_object();
-    std::ofstream out(cex_out);
-    if (!out) {
-      std::fprintf(stderr, "cannot write '%s'\n", cex_out.c_str());
-      return 2;
-    }
-    out << w.str() << "\n";
+    if (!cli::write_file(cex_out, w.str() + "\n")) return 2;
   }
 
   if (json_out) {

@@ -96,19 +96,19 @@
 //      ID)
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <iostream>
-#include <sstream>
 #include <string>
 
 #include "core/compiler.h"
 #include "core/tbgen.h"
 #include "core/tracerun.h"
+#include "cover/model.h"
 #include "diffview/bundle.h"
 #include "perf/profile.h"
 #include "rt/artifact.h"
+#include "support/strings.h"
+#include "tools/cli.h"
 #include "trace/options.h"
 
 using namespace hicsync;
@@ -144,11 +144,6 @@ constexpr const char* kUsageBody =
     // usage_docs_in_sync test can grep the whole table verbatim.
     "exit codes: 0 ok, 1 compile error, 2 usage, 3 sim timeout, 4 lint errors, 5 verify refuted, 6 bound exceeded, 7 nlint findings\n";
 
-void usage(const char* argv0) {
-  std::fprintf(stderr, "usage: %s [options] <file.hic | ->\n%s", argv0,
-               kUsageBody);
-}
-
 void list_checks() {
   std::fprintf(stderr, "known lint checks:\n");
   for (const auto& info :
@@ -182,32 +177,28 @@ int main(int argc, char** argv) {
   auto known_check = [](const std::string& id) {
     return analysis::lint::LintRegistry::builtin().find(id) != nullptr;
   };
+  auto diag_format = [&](const std::string& fmt) {
+    if (fmt != "json" && fmt != "text") {
+      std::fprintf(stderr, "unknown diagnostic format '%s'\n", fmt.c_str());
+      return false;
+    }
+    json_diags = fmt == "json";
+    return true;
+  };
 
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        usage(argv[0]);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+  cli::Args args(argc, argv,
+                 support::format("usage: %s [options] <file.hic | ->\n%s",
+                                 argv[0], kUsageBody));
+  while (args.next()) {
+    const std::string& arg = args.arg();
     if (arg == "--org") {
-      std::string org = next();
-      if (org == "arbitrated") {
-        options.organization = sim::OrgKind::Arbitrated;
-      } else if (org == "event-driven") {
-        options.organization = sim::OrgKind::EventDriven;
-      } else {
-        std::fprintf(stderr, "unknown organization '%s'\n", org.c_str());
-        return 2;
-      }
+      options.organization = args.next_org();
     } else if (arg == "--emit-verilog") {
-      verilog_out = next();
+      verilog_out = args.next_value();
     } else if (arg == "--emit-testbench") {
-      testbench_out = next();
+      testbench_out = args.next_value();
     } else if (arg == "--emit-artifact") {
-      artifact_out = next();
+      artifact_out = args.next_value();
     } else if (arg == "--report") {
       report = true;
       report_explicit = true;
@@ -215,11 +206,9 @@ int main(int argc, char** argv) {
       report = false;
       report_explicit = true;
     } else if (arg == "--simulate") {
-      simulate_passes = std::atoi(next());
-    } else if (arg == "--trace" || arg.rfind("--trace=", 0) == 0) {
-      std::string spec = arg == "--trace"
-                             ? next()
-                             : arg.substr(std::strlen("--trace="));
+      simulate_passes = args.next_int();
+    } else if (args.option("--trace")) {
+      const std::string spec = args.next_value();
       std::string error;
       if (!trace::parse_trace_spec(spec, trace_opts, &error)) {
         std::fprintf(stderr, "bad --trace spec '%s': %s\n", spec.c_str(),
@@ -253,15 +242,14 @@ int main(int argc, char** argv) {
     } else if (arg == "--dump-fsm") {
       dump_fsm = true;
     } else if (arg == "--target-mhz") {
-      options.target_clock_mhz = std::atof(next());
+      options.target_clock_mhz = args.next_double();
     } else if (arg == "--max-cycles") {
-      max_cycles = static_cast<std::uint64_t>(std::atoll(next()));
+      max_cycles = args.next_u64();
     } else if (arg == "--verify") {
       options.verify.enabled = true;
     } else if (arg == "--verify-max-states") {
       options.verify.enabled = true;
-      options.verify.max_states =
-          static_cast<std::uint64_t>(std::atoll(next()));
+      options.verify.max_states = args.next_u64();
     } else if (arg == "--bound") {
       options.bound.enabled = true;
     } else if (arg == "--no-bound-sizing") {
@@ -277,82 +265,32 @@ int main(int argc, char** argv) {
     } else if (arg == "--Werror") {
       options.lint.enabled = true;
       options.lint.werror = true;
-    } else if (arg.rfind("-Wno-", 0) == 0) {
-      std::string id = arg.substr(5);
-      if (!known_check(id)) {
-        std::fprintf(stderr, "unknown lint check '%s'\n", id.c_str());
-        list_checks();
-        return 2;
-      }
-      options.lint.enabled = true;
-      options.lint.disabled.push_back(id);
     } else if (arg.rfind("-W", 0) == 0 && arg.size() > 2 && arg[2] != '-') {
-      std::string id = arg.substr(2);
+      // -Wno-<check> disables, -W<check> promotes to error.
+      const bool disable = arg.rfind("-Wno-", 0) == 0;
+      std::string id = arg.substr(disable ? 5 : 2);
       if (!known_check(id)) {
         std::fprintf(stderr, "unknown lint check '%s'\n", id.c_str());
         list_checks();
         return 2;
       }
       options.lint.enabled = true;
-      options.lint.as_error.push_back(id);
-    } else if (arg == "--diag-format") {
-      std::string fmt = next();
-      if (fmt == "json") {
-        json_diags = true;
-      } else if (fmt == "text") {
-        json_diags = false;
-      } else {
-        std::fprintf(stderr, "unknown diagnostic format '%s'\n", fmt.c_str());
-        return 2;
-      }
-    } else if (arg.rfind("--diag-format=", 0) == 0) {
-      std::string fmt = arg.substr(std::strlen("--diag-format="));
-      if (fmt == "json") {
-        json_diags = true;
-      } else if (fmt == "text") {
-        json_diags = false;
-      } else {
-        std::fprintf(stderr, "unknown diagnostic format '%s'\n", fmt.c_str());
-        return 2;
-      }
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
-      std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-      usage(argv[0]);
-      return 2;
-    } else if (input.empty()) {
+      (disable ? options.lint.disabled : options.lint.as_error).push_back(id);
+    } else if (args.option("--diag-format")) {
+      if (!diag_format(args.next_value())) return 2;
+    } else if (args.positional() || arg == "-") {
+      if (!input.empty()) return args.usage_error();
       input = arg;
     } else {
-      usage(argv[0]);
-      return 2;
+      return args.unhandled();
     }
   }
-  if (input.empty()) {
-    usage(argv[0]);
-    return 2;
-  }
+  if (input.empty()) return args.usage_error();
   // Lint-only runs are report-less by default: the findings are the output.
   if (options.lint.only && !report_explicit) report = false;
 
   std::string source;
-  if (input == "-") {
-    std::ostringstream ss;
-    ss << std::cin.rdbuf();
-    source = ss.str();
-    options.source_name = "<stdin>";
-  } else {
-    std::ifstream in(input);
-    if (!in) {
-      std::fprintf(stderr, "cannot open '%s'\n", input.c_str());
-      return 2;
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    source = ss.str();
-    options.source_name = input;
-  }
+  if (!cli::read_source(input, &source, &options.source_name)) return 2;
 
   if (profile) options.profiler = &profiler;
   core::Compiler compiler(options);
@@ -370,18 +308,10 @@ int main(int argc, char** argv) {
   // The profile prints for every completed compile() — including failed
   // compiles and --lint-only runs that will exit 4 below; a profile of the
   // front end alone is still a profile.
-  if (profile) {
-    if (profile_out.empty()) {
-      std::printf("%s", profiler.text().c_str());
-    } else {
-      std::ofstream out(profile_out);
-      if (!out) {
-        std::fprintf(stderr, "cannot write '%s'\n", profile_out.c_str());
-        return 2;
-      }
-      out << profiler.json();
-      std::printf("wrote %s\n", profile_out.c_str());
-    }
+  if (profile &&
+      !cli::write_output(profile_out, profile_out.empty() ? profiler.text()
+                                                          : profiler.json())) {
+    return 2;
   }
 
   if (!result->ok()) return 1;
@@ -416,33 +346,19 @@ int main(int argc, char** argv) {
   if (result->nlint_error_count() > 0) return 7;
   if (options.lint.only) return 0;
 
-  if (!verilog_out.empty()) {
-    std::ofstream out(verilog_out);
-    if (!out) {
-      std::fprintf(stderr, "cannot write '%s'\n", verilog_out.c_str());
-      return 2;
-    }
-    out << result->verilog();
-    std::printf("wrote %s\n", verilog_out.c_str());
+  if (!verilog_out.empty() &&
+      !cli::write_output(verilog_out, result->verilog())) {
+    return 2;
   }
-
-  if (!artifact_out.empty()) {
-    std::ofstream out(artifact_out, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "cannot write '%s'\n", artifact_out.c_str());
-      return 2;
-    }
-    out << rt::emit_artifact(*result, source);
-    std::printf("wrote %s\n", artifact_out.c_str());
+  if (!artifact_out.empty() &&
+      !cli::write_output(artifact_out, rt::emit_artifact(*result, source))) {
+    return 2;
   }
-
   if (!testbench_out.empty()) {
-    std::ofstream out(testbench_out);
-    if (!out) {
-      std::fprintf(stderr, "cannot write '%s'\n", testbench_out.c_str());
+    if (!cli::write_file(testbench_out,
+                         core::generate_controller_testbench(*result))) {
       return 2;
     }
-    out << core::generate_controller_testbench(*result);
     std::printf("wrote %s (DUT + self-checking testbench)\n",
                 testbench_out.c_str());
   }
@@ -472,9 +388,7 @@ int main(int argc, char** argv) {
     const std::string base =
         slash == std::string::npos ? stem : stem.substr(slash + 1);
     const std::string run_id =
-        base + "@" +
-        (options.organization == sim::OrgKind::Arbitrated ? "arbitrated"
-                                                          : "eventdriven");
+        base + "@" + cover::org_prefix(options.organization);
     if (cover) {
       run_options.cover_run_id = run_id;
     }
@@ -487,35 +401,25 @@ int main(int argc, char** argv) {
 
     // Write trace artifacts even on timeout — a truncated waveform is
     // exactly what you want when debugging a deadlock.
-    auto write_artifact = [](const std::string& path,
-                             const std::string& body) {
-      std::ofstream out(path);
-      if (!out) {
-        std::fprintf(stderr, "cannot write '%s'\n", path.c_str());
-        return false;
-      }
-      out << body;
-      std::printf("wrote %s\n", path.c_str());
-      return true;
-    };
-    if (trace_opts.vcd) {
-      std::string path =
-          trace_opts.vcd_out.empty() ? stem + ".vcd" : trace_opts.vcd_out;
-      if (!write_artifact(path, run.vcd)) return 2;
+    if (trace_opts.vcd &&
+        !cli::write_output(
+            trace_opts.vcd_out.empty() ? stem + ".vcd" : trace_opts.vcd_out,
+            run.vcd)) {
+      return 2;
     }
-    if (trace_opts.chrome) {
-      std::string path = trace_opts.chrome_out.empty()
-                             ? stem + ".trace.json"
-                             : trace_opts.chrome_out;
-      if (!write_artifact(path, run.chrome_json)) return 2;
+    if (trace_opts.chrome &&
+        !cli::write_output(trace_opts.chrome_out.empty()
+                               ? stem + ".trace.json"
+                               : trace_opts.chrome_out,
+                           run.chrome_json)) {
+      return 2;
     }
-    if (trace_opts.metrics) {
-      if (trace_opts.metrics_out.empty()) {
-        std::printf("%s", run.metrics_text.c_str());
-      } else if (!write_artifact(trace_opts.metrics_out,
-                                 run.metrics_json)) {
-        return 2;
-      }
+    if (trace_opts.metrics &&
+        !cli::write_output(trace_opts.metrics_out,
+                           trace_opts.metrics_out.empty()
+                               ? run.metrics_text
+                               : run.metrics_json)) {
+      return 2;
     }
     if (trace_opts.bundle) {
       std::string dir = trace_opts.bundle_out.empty() ? stem + ".bundle"

@@ -1,8 +1,63 @@
 #include "trace/chrome.h"
 
+#include "support/json.h"
 #include "support/strings.h"
 
 namespace hicsync::trace {
+
+namespace chrome {
+
+std::string process_name(int pid, std::string_view name) {
+  return support::format(
+      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,"
+      "\"args\":{\"name\":\"%s\"}}",
+      pid, support::json_escape(name).c_str());
+}
+
+std::string thread_name(int pid, int tid, std::string_view name) {
+  return support::format(
+      "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,"
+      "\"args\":{\"name\":\"%s\"}}",
+      pid, tid, support::json_escape(name).c_str());
+}
+
+std::string complete(std::string_view name, std::uint64_t ts,
+                     std::uint64_t dur, int pid, int tid,
+                     std::string_view args) {
+  std::string out = support::format(
+      "{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%llu,\"dur\":%llu,"
+      "\"pid\":%d,\"tid\":%d",
+      support::json_escape(name).c_str(), static_cast<unsigned long long>(ts),
+      static_cast<unsigned long long>(dur), pid, tid);
+  if (!args.empty()) {
+    out += ",\"args\":";
+    out += args;
+  }
+  out += '}';
+  return out;
+}
+
+std::string instant(std::string_view name, std::uint64_t ts, int pid,
+                    int tid, std::string_view args) {
+  return support::format(
+      "{\"name\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%llu,"
+      "\"pid\":%d,\"tid\":%d,\"args\":%.*s}",
+      support::json_escape(name).c_str(), static_cast<unsigned long long>(ts),
+      pid, tid, static_cast<int>(args.size()), args.data());
+}
+
+std::string document(const std::vector<std::string>& events) {
+  std::string out = "{\"traceEvents\":[\n";
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    out += events[i];
+    if (i + 1 < events.size()) out += ",";
+    out += "\n";
+  }
+  out += "],\"displayTimeUnit\":\"ns\"}\n";
+  return out;
+}
+
+}  // namespace chrome
 
 namespace {
 
@@ -13,6 +68,12 @@ std::string port_track_name(const Event& e) {
     n += std::to_string(e.pseudo_port);
   }
   return n;
+}
+
+/// Duration of a span closed at `end`; zero-length spans last one cycle so
+/// the viewer still draws them.
+std::uint64_t span_dur(std::uint64_t start, std::uint64_t end) {
+  return end > start ? end - start : 1;
 }
 
 constexpr int kThreadPid = 1;
@@ -30,38 +91,26 @@ ChromeTraceSink::Track ChromeTraceSink::track(int pid,
     t.pid = pid;
     t.tid = ++next_tid_[pid];
     it = tracks_.emplace(key, t).first;
-    events_.push_back(support::format(
-        "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,"
-        "\"args\":{\"name\":\"%s\"}}",
-        t.pid, t.tid, name.c_str()));
+    events_.push_back(chrome::thread_name(t.pid, t.tid, name));
   }
   return it->second;
-}
-
-void ChromeTraceSink::emit_json(const std::string& line) {
-  events_.push_back(line);
 }
 
 void ChromeTraceSink::on_event(const Event& e) {
   switch (e.kind) {
     case EventKind::PortGrant: {
       Track t = track(kPortPid, port_track_name(e));
-      emit_json(support::format(
-          "{\"name\":\"grant\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%llu,"
-          "\"pid\":%d,\"tid\":%d,\"args\":{\"thread\":\"%.*s\"}}",
-          static_cast<unsigned long long>(e.cycle), t.pid, t.tid,
-          static_cast<int>(e.thread.size()), e.thread.data()));
+      events_.push_back(chrome::instant(
+          "grant", e.cycle, t.pid, t.tid,
+          "{\"thread\":\"" + support::json_escape(e.thread) + "\"}"));
       break;
     }
     case EventKind::PortStall: {
       Track t = track(kPortPid, port_track_name(e));
-      emit_json(support::format(
-          "{\"name\":\"stall\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%llu,"
-          "\"pid\":%d,\"tid\":%d,"
-          "\"args\":{\"cause\":\"%s\",\"thread\":\"%.*s\"}}",
-          static_cast<unsigned long long>(e.cycle), t.pid, t.tid,
-          to_string(e.cause), static_cast<int>(e.thread.size()),
-          e.thread.data()));
+      events_.push_back(chrome::instant(
+          "stall", e.cycle, t.pid, t.tid,
+          std::string("{\"cause\":\"") + to_string(e.cause) +
+              "\",\"thread\":\"" + support::json_escape(e.thread) + "\"}"));
       break;
     }
     case EventKind::FsmState: {
@@ -69,14 +118,9 @@ void ChromeTraceSink::on_event(const Event& e) {
       Track t = track(kThreadPid, thread);
       OpenSpan& span = state_spans_[thread];
       if (span.open) {
-        emit_json(support::format(
-            "{\"name\":\"S%lld\",\"ph\":\"X\",\"ts\":%llu,\"dur\":%llu,"
-            "\"pid\":%d,\"tid\":%d}",
-            static_cast<long long>(span.value),
-            static_cast<unsigned long long>(span.start),
-            static_cast<unsigned long long>(
-                e.cycle > span.start ? e.cycle - span.start : 1),
-            t.pid, t.tid));
+        events_.push_back(chrome::complete(
+            "S" + std::to_string(span.value), span.start,
+            span_dur(span.start, e.cycle), t.pid, t.tid));
       }
       span.open = true;
       span.start = e.cycle;
@@ -96,13 +140,9 @@ void ChromeTraceSink::on_event(const Event& e) {
       Track t = track(kThreadPid, thread);
       OpenSpan& span = block_spans_[thread];
       if (span.open) {
-        emit_json(support::format(
-            "{\"name\":\"blocked\",\"ph\":\"X\",\"ts\":%llu,\"dur\":%llu,"
-            "\"pid\":%d,\"tid\":%d}",
-            static_cast<unsigned long long>(span.start),
-            static_cast<unsigned long long>(
-                e.cycle > span.start ? e.cycle - span.start : 1),
-            t.pid, t.tid));
+        events_.push_back(chrome::complete("blocked", span.start,
+                                           span_dur(span.start, e.cycle),
+                                           t.pid, t.tid));
         span.open = false;
       }
       break;
@@ -121,13 +161,9 @@ void ChromeTraceSink::on_event(const Event& e) {
       Track t = track(kDepPid, dep);
       OpenSpan& span = round_spans_[dep];
       if (span.open) {
-        emit_json(support::format(
-            "{\"name\":\"round %s\",\"ph\":\"X\",\"ts\":%llu,\"dur\":%llu,"
-            "\"pid\":%d,\"tid\":%d,\"args\":{\"latency\":%lld}}",
-            dep.c_str(), static_cast<unsigned long long>(span.start),
-            static_cast<unsigned long long>(
-                e.cycle > span.start ? e.cycle - span.start : 1),
-            t.pid, t.tid, static_cast<long long>(e.value)));
+        events_.push_back(chrome::complete(
+            "round " + dep, span.start, span_dur(span.start, e.cycle), t.pid,
+            t.tid, "{\"latency\":" + std::to_string(e.value) + "}"));
         span.open = false;
       }
       break;
@@ -146,26 +182,18 @@ void ChromeTraceSink::finish(std::uint64_t final_cycle) {
   for (auto& [thread, span] : state_spans_) {
     if (!span.open) continue;
     Track t = track(kThreadPid, thread);
-    emit_json(support::format(
-        "{\"name\":\"S%lld\",\"ph\":\"X\",\"ts\":%llu,\"dur\":%llu,"
-        "\"pid\":%d,\"tid\":%d}",
-        static_cast<long long>(span.value),
-        static_cast<unsigned long long>(span.start),
-        static_cast<unsigned long long>(
-            final_cycle > span.start ? final_cycle - span.start : 1),
-        t.pid, t.tid));
+    events_.push_back(chrome::complete("S" + std::to_string(span.value),
+                                       span.start,
+                                       span_dur(span.start, final_cycle),
+                                       t.pid, t.tid));
     span.open = false;
   }
   for (auto& [thread, span] : block_spans_) {
     if (!span.open) continue;
     Track t = track(kThreadPid, thread);
-    emit_json(support::format(
-        "{\"name\":\"blocked\",\"ph\":\"X\",\"ts\":%llu,\"dur\":%llu,"
-        "\"pid\":%d,\"tid\":%d}",
-        static_cast<unsigned long long>(span.start),
-        static_cast<unsigned long long>(
-            final_cycle > span.start ? final_cycle - span.start : 1),
-        t.pid, t.tid));
+    events_.push_back(chrome::complete("blocked", span.start,
+                                       span_dur(span.start, final_cycle),
+                                       t.pid, t.tid));
     span.open = false;
   }
 
@@ -175,20 +203,10 @@ void ChromeTraceSink::finish(std::uint64_t final_cycle) {
                                        "dependencies"};
   for (int pid = kThreadPid; pid <= kDepPid; ++pid) {
     if (next_tid_.count(pid) == 0) continue;
-    lines.push_back(support::format(
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,"
-        "\"args\":{\"name\":\"%s\"}}",
-        pid, kPidNames[pid - 1]));
+    lines.push_back(chrome::process_name(pid, kPidNames[pid - 1]));
   }
   lines.insert(lines.end(), events_.begin(), events_.end());
-
-  out_ = "{\"traceEvents\":[\n";
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    out_ += lines[i];
-    if (i + 1 < lines.size()) out_ += ",";
-    out_ += "\n";
-  }
-  out_ += "],\"displayTimeUnit\":\"ns\"}\n";
+  out_ = chrome::document(lines);
 }
 
 }  // namespace hicsync::trace

@@ -4,6 +4,7 @@
 #include <deque>
 #include <unordered_map>
 
+#include "support/hash.h"
 #include "support/strings.h"
 
 namespace hicsync::verify {
@@ -13,11 +14,8 @@ namespace {
 struct StateHash {
   std::size_t operator()(const State& s) const {
     // FNV-1a over the canonical packed encoding.
-    std::uint64_t h = 1469598103934665603ull;
-    for (std::uint16_t v : s) {
-      h ^= static_cast<std::uint64_t>(v);
-      h *= 1099511628211ull;
-    }
+    std::uint64_t h = support::kFnvOffset;
+    for (std::uint16_t v : s) h = support::fnv1a_step(h, v);
     return static_cast<std::size_t>(h);
   }
 };

@@ -193,6 +193,41 @@ TEST_F(WireProtocol, BadRequestsGetStableErrors) {
   expect_error(R"({"op":"run","session":12345})", "rt-no-session:");
 }
 
+TEST_F(WireProtocol, OverDeepLinesAreBadRequests) {
+  // One socket line used to be able to recurse the parser off the stack.
+  for (const std::string& line :
+       {std::string(1000000, '['),
+        R"({"op":"produce","session":0,"words":)" +
+            std::string(100, '[') + std::string(100, ']') + "}"}) {
+    support::JsonValue v = parse(request(line));
+    EXPECT_FALSE(ok_of(v));
+    EXPECT_EQ(error_of(v).rfind("rt-bad-request: malformed JSON: nesting "
+                                "deeper than 64",
+                                0),
+              0u)
+        << error_of(v);
+  }
+}
+
+TEST_F(WireProtocol, ProduceWordsAreUnsignedDecimalStrings) {
+  const std::string open = request(R"({"op":"open"})");
+  const auto session = static_cast<std::uint64_t>(
+      parse(open).find("session")->number_value);
+  auto produce = [&](const std::string& word) {
+    return parse(request(support::format(
+        R"({"op":"produce","session":%llu,"words":["%s"]})",
+        static_cast<unsigned long long>(session), word.c_str())));
+  };
+  for (const char* bad :
+       {"-1", "+1", "0x10", " 1", "", "18446744073709551616"}) {
+    support::JsonValue v = produce(bad);
+    EXPECT_FALSE(ok_of(v)) << bad;
+    EXPECT_EQ(error_of(v).rfind("rt-bad-request:", 0), 0u) << bad;
+  }
+  EXPECT_TRUE(ok_of(produce("010")));
+  EXPECT_TRUE(ok_of(produce("18446744073709551615")));
+}
+
 #if defined(__unix__) || defined(__APPLE__)
 
 TEST(RemoteWire, ClientServerLoopback) {

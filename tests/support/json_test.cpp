@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
 namespace hicsync::support {
 namespace {
 
@@ -94,6 +100,69 @@ TEST(JsonParse, RejectsMalformedInput) {
   EXPECT_FALSE(parse_json("{\"a\": 1} trailing", &doc, &error));
   EXPECT_FALSE(parse_json("\"unterminated", &doc, &error));
   EXPECT_FALSE(error.empty());
+}
+
+std::string nested(int depth) {
+  return std::string(static_cast<std::size_t>(depth), '[') +
+         std::string(static_cast<std::size_t>(depth), ']');
+}
+
+TEST(JsonParse, AcceptsNestingUpToTheLimit) {
+  JsonValue doc;
+  std::string error;
+  EXPECT_TRUE(parse_json(nested(kMaxJsonDepth), &doc, &error)) << error;
+}
+
+TEST(JsonParse, RejectsNestingBeyondTheLimitWithAStableError) {
+  JsonValue doc;
+  std::string error;
+  EXPECT_FALSE(parse_json(nested(kMaxJsonDepth + 1), &doc, &error));
+  EXPECT_EQ(error.rfind("nesting deeper than 64 at offset", 0), 0u) << error;
+  EXPECT_FALSE(parse_json(R"({"a":{"b":)" + nested(kMaxJsonDepth) + "}}",
+                          &doc, &error));
+  EXPECT_EQ(error.rfind("nesting deeper than", 0), 0u) << error;
+}
+
+TEST(JsonParse, MillionOpenBracketsFailWithoutCrashing) {
+  JsonValue doc;
+  std::string error;
+  EXPECT_FALSE(parse_json(std::string(1000000, '['), &doc, &error));
+  EXPECT_EQ(error.rfind("nesting deeper than", 0), 0u) << error;
+  std::string deep_objects = "{}\n";
+  for (int i = 0; i < 1000000; ++i) deep_objects += "{\"a\":";
+  std::vector<JsonValue> lines;
+  EXPECT_FALSE(parse_jsonl(deep_objects, &lines, &error));
+  EXPECT_EQ(error.rfind("line 2: nesting deeper than", 0), 0u) << error;
+}
+
+// Every committed JSON and JSON-Lines file must stay inside the limit.
+TEST(JsonParse, CommittedFixturesParseWithinTheLimit) {
+  namespace fs = std::filesystem;
+  const fs::path root = HICSYNC_SOURCE_DIR;
+  std::vector<fs::path> files = {root / "BENCHMARK.json"};
+  for (const char* dir : {"tests", "hicbench/expected"}) {
+    for (const auto& entry : fs::recursive_directory_iterator(root / dir)) {
+      const fs::path& p = entry.path();
+      if (p.extension() == ".json" || p.extension() == ".jsonl") {
+        files.push_back(p);
+      }
+    }
+  }
+  ASSERT_GE(files.size(), 10u);
+  for (const fs::path& p : files) {
+    std::ifstream in(p);
+    std::stringstream text;
+    text << in.rdbuf();
+    std::string error;
+    if (p.extension() == ".jsonl") {
+      std::vector<JsonValue> records;
+      EXPECT_TRUE(parse_jsonl(text.str(), &records, &error))
+          << p << ": " << error;
+    } else {
+      JsonValue doc;
+      EXPECT_TRUE(parse_json(text.str(), &doc, &error)) << p << ": " << error;
+    }
+  }
 }
 
 }  // namespace
