@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <string>
 
+#include "memorg/deplist.h"
+#include "memorg/ports.h"
+
 namespace hicsync::baseline {
 
 double HandoffMetrics::mean_latency() const {
@@ -319,156 +322,111 @@ HandoffMetrics run_lock_handoff(const rtl::Module& lockmem, int consumers,
 }
 
 // ---------------------------------------------------------------------------
-// Organization drivers (request/grant protocols of the two organizations).
+// Organization driver: the request/grant protocol of either organization,
+// through the controller's bound ports. Event-driven clients request only
+// in their own schedule slot.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-struct OrgRun {
-  rtl::ModuleSim sim;
-  HandoffMetrics metrics;
+HandoffMetrics run_org_handoff(const rtl::Module& org, bool event_driven,
+                               int consumers, int rounds,
+                               std::uint64_t max_cycles) {
+  rtl::ModuleSim sim(org);
+  sim.reset();
+  const memorg::ControllerPorts ports =
+      memorg::bind_ports(org, event_driven, consumers, 1);
+  const memorg::ProducerNets& producer = ports.producers[0];
+  // The scenario's one dependency: producer pseudo-port 0 publishes to
+  // every consumer pseudo-port, in order.
+  memorg::DepEntry dep;
+  for (int i = 0; i < consumers; ++i) dep.consumer_ports.push_back(i);
+  const std::vector<memorg::Slot> schedule = memorg::slot_schedule({dep});
+  const int producer_slot = memorg::find_slot(schedule, 0, true, 0);
+  std::vector<int> consumer_slot;
+  for (int i = 0; i < consumers; ++i) {
+    consumer_slot.push_back(memorg::find_slot(schedule, 0, false, i));
+  }
 
-  explicit OrgRun(const rtl::Module& m) : sim(m) { sim.reset(); }
-};
+  enum class Stage { Request, AwaitValid, Done };
+  HandoffMetrics metrics;
+  int round = 0;
+  Stage prod = Stage::Request;
+  std::vector<Stage> cons(static_cast<std::size_t>(consumers),
+                          Stage::Request);
+  std::uint64_t publish = 0;
+  int consumed = 0;
+  bool ok = true;
+  std::uint64_t cycle = 0;
+
+  while (round < rounds && cycle < max_cycles) {
+    // Drive. The slot is a register: reading it before settle is safe.
+    sim.set_input(producer.req, 0);
+    for (const memorg::ConsumerNets& c : ports.consumers) {
+      sim.set_input(c.req, 0);
+    }
+    const std::uint64_t slot = event_driven ? sim.get(ports.slot) : 0;
+    auto my_turn = [&](int owned) {
+      return !event_driven || slot == static_cast<std::uint64_t>(owned);
+    };
+    if (prod == Stage::Request && my_turn(producer_slot)) {
+      sim.set_input(producer.req, 1);
+      sim.set_input(producer.addr, kDataAddr);
+      sim.set_input(producer.wdata, round_value(round));
+    }
+    for (std::size_t i = 0; i < cons.size(); ++i) {
+      if (cons[i] == Stage::Request && my_turn(consumer_slot[i])) {
+        sim.set_input(ports.consumers[i].req, 1);
+        sim.set_input(ports.consumers[i].addr, kDataAddr);
+      }
+    }
+    sim.settle();
+    // Observe.
+    if (prod == Stage::Request && sim.get(producer.grant) != 0) {
+      ++metrics.bus_grants;
+      publish = cycle;
+      prod = Stage::Done;
+    }
+    for (std::size_t i = 0; i < cons.size(); ++i) {
+      Stage& st = cons[i];
+      if (st == Stage::Request &&
+          ports.read_accepted(sim, static_cast<int>(i))) {
+        ++metrics.bus_grants;
+        st = Stage::AwaitValid;
+      } else if (st == Stage::AwaitValid &&
+                 sim.get(ports.consumers[i].valid) != 0) {
+        if (sim.get(ports.bus_rdata) != round_value(round)) ok = false;
+        st = Stage::Done;
+        ++consumed;
+      }
+    }
+    sim.step();
+    ++cycle;
+
+    if (prod == Stage::Done && consumed == consumers) {
+      metrics.round_latencies.push_back(cycle - 1 - publish);
+      ++round;
+      prod = Stage::Request;
+      for (auto& st : cons) st = Stage::Request;
+      consumed = 0;
+    }
+  }
+  metrics.total_cycles = cycle;
+  metrics.ok = ok && round == rounds;
+  return metrics;
+}
 
 }  // namespace
 
 HandoffMetrics run_arbitrated_handoff(const rtl::Module& org, int consumers,
                                       int rounds, std::uint64_t max_cycles) {
-  OrgRun run(org);
-  rtl::ModuleSim& sim = run.sim;
-
-  enum class PStage { Request, Done };
-  enum class CStage { Request, AwaitValid, Done };
-  int round = 0;
-  PStage prod = PStage::Request;
-  std::vector<CStage> cons(static_cast<std::size_t>(consumers),
-                           CStage::Request);
-  std::uint64_t publish = 0;
-  int consumed = 0;
-  bool ok = true;
-  std::uint64_t cycle = 0;
-
-  while (round < rounds && cycle < max_cycles) {
-    // Drive.
-    sim.set_input("d_req0", 0);
-    for (int i = 0; i < consumers; ++i) {
-      sim.set_input(idx("c_req", i), 0);
-    }
-    if (prod == PStage::Request) {
-      sim.set_input("d_req0", 1);
-      sim.set_input("d_addr0", kDataAddr);
-      sim.set_input("d_wdata0", round_value(round));
-    }
-    for (int i = 0; i < consumers; ++i) {
-      if (cons[static_cast<std::size_t>(i)] == CStage::Request) {
-        sim.set_input(idx("c_req", i), 1);
-        sim.set_input(idx("c_addr", i), kDataAddr);
-      }
-    }
-    sim.settle();
-    // Observe.
-    if (prod == PStage::Request && sim.get("d_grant0") != 0) {
-      ++run.metrics.bus_grants;
-      publish = cycle;
-      prod = PStage::Done;
-    }
-    for (int i = 0; i < consumers; ++i) {
-      auto& st = cons[static_cast<std::size_t>(i)];
-      if (st == CStage::Request && sim.get(idx("c_grant", i)) != 0) {
-        ++run.metrics.bus_grants;
-        st = CStage::AwaitValid;
-      } else if (st == CStage::AwaitValid &&
-                 sim.get(idx("c_valid", i)) != 0) {
-        if (sim.get("bus_rdata") != round_value(round)) ok = false;
-        st = CStage::Done;
-        ++consumed;
-      }
-    }
-    sim.step();
-    ++cycle;
-
-    if (prod == PStage::Done && consumed == consumers) {
-      run.metrics.round_latencies.push_back(cycle - 1 - publish);
-      ++round;
-      prod = PStage::Request;
-      for (auto& st : cons) st = CStage::Request;
-      consumed = 0;
-    }
-  }
-  run.metrics.total_cycles = cycle;
-  run.metrics.ok = ok && round == rounds;
-  return run.metrics;
+  return run_org_handoff(org, false, consumers, rounds, max_cycles);
 }
 
 HandoffMetrics run_eventdriven_handoff(const rtl::Module& org, int consumers,
                                        int rounds,
                                        std::uint64_t max_cycles) {
-  OrgRun run(org);
-  rtl::ModuleSim& sim = run.sim;
-
-  // Slot layout of the 1-producer scenario: slot 0 = producer, slots
-  // 1..consumers = the consumers in static order.
-  enum class CStage { WaitSlot, AwaitValid, Done };
-  int round = 0;
-  bool produced = false;
-  std::vector<CStage> cons(static_cast<std::size_t>(consumers),
-                           CStage::WaitSlot);
-  std::uint64_t publish = 0;
-  int consumed = 0;
-  bool ok = true;
-  std::uint64_t cycle = 0;
-
-  while (round < rounds && cycle < max_cycles) {
-    sim.set_input("p_req0", 0);
-    for (int i = 0; i < consumers; ++i) sim.set_input(idx("c_req", i), 0);
-    std::uint64_t slot = sim.get("slot");
-    if (!produced && slot == 0) {
-      sim.set_input("p_req0", 1);
-      sim.set_input("p_addr0", kDataAddr);
-      sim.set_input("p_wdata0", round_value(round));
-    }
-    for (int i = 0; i < consumers; ++i) {
-      if (cons[static_cast<std::size_t>(i)] == CStage::WaitSlot &&
-          slot == static_cast<std::uint64_t>(i + 1)) {
-        sim.set_input(idx("c_req", i), 1);
-        sim.set_input(idx("c_addr", i), kDataAddr);
-      }
-    }
-    sim.settle();
-    if (!produced && sim.get("p_grant0") != 0) {
-      ++run.metrics.bus_grants;
-      publish = cycle;
-      produced = true;
-    }
-    for (int i = 0; i < consumers; ++i) {
-      auto& st = cons[static_cast<std::size_t>(i)];
-      if (st == CStage::WaitSlot &&
-          slot == static_cast<std::uint64_t>(i + 1) &&
-          sim.get(idx("c_req", i)) != 0) {
-        ++run.metrics.bus_grants;
-        st = CStage::AwaitValid;
-      } else if (st == CStage::AwaitValid &&
-                 sim.get(idx("c_valid", i)) != 0) {
-        if (sim.get("bus_rdata") != round_value(round)) ok = false;
-        st = CStage::Done;
-        ++consumed;
-      }
-    }
-    sim.step();
-    ++cycle;
-
-    if (produced && consumed == consumers) {
-      run.metrics.round_latencies.push_back(cycle - 1 - publish);
-      ++round;
-      produced = false;
-      for (auto& st : cons) st = CStage::WaitSlot;
-      consumed = 0;
-    }
-  }
-  run.metrics.total_cycles = cycle;
-  run.metrics.ok = ok && round == rounds;
-  return run.metrics;
+  return run_org_handoff(org, true, consumers, rounds, max_cycles);
 }
 
 }  // namespace hicsync::baseline

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "memorg/deplist.h"
+#include "memorg/ports.h"
 #include "rtl/testbench.h"
 #include "rtl/verilog.h"
 
@@ -10,20 +11,16 @@ namespace hicsync::core {
 
 namespace {
 
-std::string idx(const char* base, int i) {
-  return std::string(base) + std::to_string(i);
-}
-
-/// Steps until `signal` is 1 (pre-edge); throws after `max` cycles.
-void wait_for(rtl::TestbenchRecorder& rec, const std::string& signal,
-              int max) {
-  for (int i = 0; i < max; ++i) {
+/// Steps until net `signal` is 1 (pre-edge); throws after 8 cycles.
+void wait_for(rtl::TestbenchRecorder& rec, const rtl::Module& module,
+              int signal) {
+  for (int i = 0; i < 8; ++i) {
     rec.sim().settle();
     if (rec.sim().get(signal) != 0) return;
     rec.step();
   }
-  throw std::runtime_error("testbench generation: '" + signal +
-                           "' never asserted");
+  throw std::runtime_error("testbench generation: '" +
+                           module.net(signal).name + "' never asserted");
 }
 
 }  // namespace
@@ -44,63 +41,45 @@ std::string generate_controller_testbench(const CompileResult& result,
     throw std::runtime_error("testbench generation: unknown bram id " +
                              std::to_string(bram_id));
   }
-  auto entries = memorg::build_dep_entries(*bram, *plan);
-  const bool event_driven =
-      result.options().organization == sim::OrgKind::EventDriven;
+  const auto entries = memorg::build_dep_entries(*bram, *plan);
+  const memorg::ControllerPorts ports = memorg::bind_ports(
+      *module, result.options().organization == sim::OrgKind::EventDriven,
+      plan->consumer_pseudo_ports(), plan->producer_pseudo_ports());
 
   rtl::TestbenchRecorder rec(*module);
   rec.reset();
 
-  std::uint64_t value = 0xC0DE;
-  for (const memorg::DepEntry& e : entries) {
-    // Produce.
-    if (event_driven) {
-      // Wait for the producer's slot, then fire.
-      int slot = -1;
-      {
-        // Slot index: entries in order, producer slot first.
-        int s = 0;
-        for (const memorg::DepEntry& e2 : entries) {
-          if (&e2 == &e) {
-            slot = s;
-            break;
-          }
-          s += 1 + static_cast<int>(e2.consumer_ports.size());
-        }
+  // One produce -> consume exchange per entry, in schedule order. The
+  // event-driven controller also waits for the producer's slot; a
+  // consumer's slot follows its predecessor's read.
+  const auto schedule = memorg::slot_schedule(entries);
+  for (std::size_t s = 0; s < schedule.size(); ++s) {
+    const memorg::Slot& slot = schedule[s];
+    const memorg::DepEntry& e = entries[static_cast<std::size_t>(slot.entry)];
+    const auto pp = static_cast<std::size_t>(slot.pseudo_port);
+    if (slot.producer) {
+      const memorg::ProducerNets& p = ports.producers[pp];
+      if (ports.event_driven) {
+        while (rec.sim().get(ports.slot) != s) rec.step();
       }
-      while (static_cast<int>(rec.sim().get("slot")) != slot) rec.step();
-      rec.set_input(idx("p_req", e.producer_port), 1);
-      rec.set_input(idx("p_addr", e.producer_port), e.base_address);
-      rec.set_input(idx("p_wdata", e.producer_port), value);
-      wait_for(rec, idx("p_grant", e.producer_port), 8);
+      rec.set_input(p.req, 1);
+      rec.set_input(p.addr, e.base_address);
+      rec.set_input(p.wdata, 0xC0DE + static_cast<std::uint64_t>(slot.entry));
+      wait_for(rec, *module, p.grant);
       rec.step();
-      rec.set_input(idx("p_req", e.producer_port), 0);
+      rec.set_input(p.req, 0);
     } else {
-      rec.set_input(idx("d_req", e.producer_port), 1);
-      rec.set_input(idx("d_addr", e.producer_port), e.base_address);
-      rec.set_input(idx("d_wdata", e.producer_port), value);
-      wait_for(rec, idx("d_grant", e.producer_port), 8);
+      // The grant (event-driven: the slot's event, which fires it while the
+      // request is up); data is valid two cycles later.
+      const memorg::ConsumerNets& c = ports.consumers[pp];
+      rec.set_input(c.req, 1);
+      rec.set_input(c.addr, e.base_address);
+      wait_for(rec, *module, c.grant);
       rec.step();
-      rec.set_input(idx("d_req", e.producer_port), 0);
-    }
-    // Consume, in the static order.
-    for (int port : e.consumer_ports) {
-      rec.set_input(idx("c_req", port), 1);
-      rec.set_input(idx("c_addr", port), e.base_address);
-      if (event_driven) {
-        // The slot fires on the request; data valid two cycles later.
-        rec.step();
-        rec.set_input(idx("c_req", port), 0);
-        wait_for(rec, idx("c_valid", port), 8);
-      } else {
-        wait_for(rec, idx("c_grant", port), 8);
-        rec.step();
-        rec.set_input(idx("c_req", port), 0);
-        wait_for(rec, idx("c_valid", port), 8);
-      }
+      rec.set_input(c.req, 0);
+      wait_for(rec, *module, c.valid);
       rec.step();
     }
-    ++value;
   }
   // A few trailing idle cycles so the tail expectations are recorded.
   rec.step();

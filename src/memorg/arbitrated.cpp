@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "memorg/ports.h"
 #include "rtl/builder.h"
 #include "support/bits.h"
 
@@ -39,11 +40,7 @@ rtl::Module& generate_arbitrated(rtl::Design& design,
   (void)m.rst();
 
   // ---- Port A: direct access to physical port 0. ----
-  int a_en = m.add_input("a_en", 1);
-  int a_we = m.add_input("a_we", 1);
-  int a_addr = m.add_input("a_addr", aw);
-  int a_wdata = m.add_input("a_wdata", dw);
-  int a_rdata = m.add_output_reg("a_rdata", dw);
+  const PortANets a = add_port_a(m, aw, dw);
 
   // ---- Port B. ----
   int b_en = -1, b_we = -1, b_addr = -1, b_wdata = -1, b_grant = -1,
@@ -58,36 +55,16 @@ rtl::Module& generate_arbitrated(rtl::Design& design,
   }
 
   // ---- Port C pseudo-ports. ----
-  std::vector<int> c_req(static_cast<std::size_t>(nc));
-  std::vector<int> c_addr(static_cast<std::size_t>(nc));
-  std::vector<int> c_grant(static_cast<std::size_t>(nc));
-  std::vector<int> c_valid(static_cast<std::size_t>(nc));
+  std::vector<ConsumerNets> cport;
   for (int i = 0; i < nc; ++i) {
-    c_req[static_cast<std::size_t>(i)] =
-        m.add_input("c_req" + std::to_string(i), 1);
-    c_addr[static_cast<std::size_t>(i)] =
-        m.add_input("c_addr" + std::to_string(i), aw);
-    c_grant[static_cast<std::size_t>(i)] =
-        m.add_output("c_grant" + std::to_string(i), 1);
-    c_valid[static_cast<std::size_t>(i)] =
-        m.add_output("c_valid" + std::to_string(i), 1);
+    cport.push_back(add_consumer_port(m, false, i, aw));
   }
   int bus_rdata = m.add_output_reg("bus_rdata", dw);
 
   // ---- Port D pseudo-ports. ----
-  std::vector<int> d_req(static_cast<std::size_t>(np));
-  std::vector<int> d_addr(static_cast<std::size_t>(np));
-  std::vector<int> d_wdata(static_cast<std::size_t>(np));
-  std::vector<int> d_grant(static_cast<std::size_t>(np));
+  std::vector<ProducerNets> dport;
   for (int j = 0; j < np; ++j) {
-    d_req[static_cast<std::size_t>(j)] =
-        m.add_input("d_req" + std::to_string(j), 1);
-    d_addr[static_cast<std::size_t>(j)] =
-        m.add_input("d_addr" + std::to_string(j), aw);
-    d_wdata[static_cast<std::size_t>(j)] =
-        m.add_input("d_wdata" + std::to_string(j), dw);
-    d_grant[static_cast<std::size_t>(j)] =
-        m.add_output("d_grant" + std::to_string(j), 1);
+    dport.push_back(add_producer_port(m, false, j, aw, dw));
   }
 
   // ---- Dependency list: per-entry countdown registers. ----
@@ -199,9 +176,9 @@ rtl::Module& generate_arbitrated(rtl::Design& design,
       m.seq(elig, econst(0, 1));
       continue;
     }
-    RtlExprPtr cond = consumer_cond(c_addr[static_cast<std::size_t>(i)]);
+    RtlExprPtr cond = consumer_cond(cport[static_cast<std::size_t>(i)].addr);
     RtlExprPtr next = ebin(
-        RtlOp::And, eref(c_req[static_cast<std::size_t>(i)], 1),
+        RtlOp::And, eref(cport[static_cast<std::size_t>(i)].req, 1),
         ebin(RtlOp::And, std::move(cond),
              enot(eref(c_granted[static_cast<std::size_t>(i)], 1))));
     m.seq(elig, std::move(next));
@@ -214,11 +191,11 @@ rtl::Module& generate_arbitrated(rtl::Design& design,
   for (int j = 0; j < np; ++j) {
     int elig = m.add_reg("d_elig_q" + std::to_string(j), 1);
     d_elig[static_cast<std::size_t>(j)] = elig;
-    RtlExprPtr cond = producer_cond(d_addr[static_cast<std::size_t>(j)]);
+    RtlExprPtr cond = producer_cond(dport[static_cast<std::size_t>(j)].addr);
     RtlExprPtr next = ebin(
-        RtlOp::And, eref(d_req[static_cast<std::size_t>(j)], 1),
+        RtlOp::And, eref(dport[static_cast<std::size_t>(j)].req, 1),
         ebin(RtlOp::And, std::move(cond),
-             enot(eref(d_grant[static_cast<std::size_t>(j)], 1))));
+             enot(eref(dport[static_cast<std::size_t>(j)].grant, 1))));
     m.seq(elig, std::move(next));
   }
 
@@ -252,7 +229,7 @@ rtl::Module& generate_arbitrated(rtl::Design& design,
                        enot(eref(any_d, 1))));
 
   for (int j = 0; j < np; ++j) {
-    m.assign(d_grant[static_cast<std::size_t>(j)],
+    m.assign(dport[static_cast<std::size_t>(j)].grant,
              eref(d_arb.grant[static_cast<std::size_t>(j)], 1));
   }
   // A consumer grant is suppressed the cycle a producer write wins port 1.
@@ -263,28 +240,19 @@ rtl::Module& generate_arbitrated(rtl::Design& design,
              ebin(RtlOp::And,
                   eref(c_arb.grant[static_cast<std::size_t>(i)], 1),
                   enot(eref(any_d, 1))));
-    m.assign(c_grant[static_cast<std::size_t>(i)],
+    m.assign(cport[static_cast<std::size_t>(i)].grant,
              eref(c_granted[static_cast<std::size_t>(i)], 1));
   }
 
   // Port B goes last: only when C and D are silent (raw requests, per §3.1).
-  RtlExprPtr any_c_req;
-  for (int i = 0; i < nc; ++i) {
-    RtlExprPtr r = eref(c_req[static_cast<std::size_t>(i)], 1);
-    any_c_req = any_c_req == nullptr
-                    ? std::move(r)
-                    : ebin(RtlOp::Or, std::move(any_c_req), std::move(r));
-  }
-  RtlExprPtr any_d_req;
-  for (int j = 0; j < np; ++j) {
-    RtlExprPtr r = eref(d_req[static_cast<std::size_t>(j)], 1);
-    any_d_req = any_d_req == nullptr
-                    ? std::move(r)
-                    : ebin(RtlOp::Or, std::move(any_d_req), std::move(r));
-  }
   if (cfg.enable_port_b) {
-    RtlExprPtr quiet = ebin(RtlOp::And, enot(any_c_req->clone()),
-                            enot(any_d_req->clone()));
+    std::vector<RtlExprPtr> c_reqs;
+    for (const ConsumerNets& c : cport) c_reqs.push_back(eref(c.req, 1));
+    std::vector<RtlExprPtr> d_reqs;
+    for (const ProducerNets& d : dport) d_reqs.push_back(eref(d.req, 1));
+    RtlExprPtr quiet =
+        ebin(RtlOp::And, enot(rtl::eor_chain(std::move(c_reqs), 1)),
+             enot(rtl::eor_chain(std::move(d_reqs), 1)));
     // Also require the registered-eligibility arbiters to be silent. Under
     // the request-hold protocol this is implied (eligibility is a delayed
     // copy of a held request), but stating it structurally makes the
@@ -307,13 +275,13 @@ rtl::Module& generate_arbitrated(rtl::Design& design,
   std::vector<RtlExprPtr> addr_values;
   std::vector<RtlExprPtr> wdata_values;
   for (int j = 0; j < np; ++j) {
-    all_grants.push_back(d_grant[static_cast<std::size_t>(j)]);
-    addr_values.push_back(eref(d_addr[static_cast<std::size_t>(j)], aw));
-    wdata_values.push_back(eref(d_wdata[static_cast<std::size_t>(j)], dw));
+    all_grants.push_back(dport[static_cast<std::size_t>(j)].grant);
+    addr_values.push_back(eref(dport[static_cast<std::size_t>(j)].addr, aw));
+    wdata_values.push_back(eref(dport[static_cast<std::size_t>(j)].wdata, dw));
   }
   for (int i = 0; i < nc; ++i) {
     all_grants.push_back(c_granted[static_cast<std::size_t>(i)]);
-    addr_values.push_back(eref(c_addr[static_cast<std::size_t>(i)], aw));
+    addr_values.push_back(eref(cport[static_cast<std::size_t>(i)].addr, aw));
     wdata_values.push_back(econst(0, dw));
   }
   if (cfg.enable_port_b) {
@@ -335,48 +303,27 @@ rtl::Module& generate_arbitrated(rtl::Design& design,
   int port1_we = m.add_reg("port1_we", 1);
   m.seq(port1_we, std::move(we_next));
 
-  // ---- The BRAM itself. ----
-  rtl::Memory& mem = m.add_memory("mem", dw, 1 << aw);
-  {
-    rtl::MemoryPort p0;  // port A
-    p0.addr = eref(a_addr, aw);
-    p0.write_enable = ebin(RtlOp::And, eref(a_en, 1), eref(a_we, 1));
-    p0.write_data = eref(a_wdata, dw);
-    p0.read_data = a_rdata;
-    mem.ports.push_back(std::move(p0));
-  }
-  {
-    rtl::MemoryPort p1;  // shared B/C/D port
-    p1.addr = eref(port1_addr, aw);
-    p1.write_enable = eref(port1_we, 1);
-    p1.write_data = eref(port1_wdata, dw);
-    p1.read_data = bus_rdata;
-    mem.ports.push_back(std::move(p1));
-  }
+  // ---- The BRAM: port A on physical port 0, port 1 behind the operand
+  // registers. ----
+  add_bram(m, a, port1_addr, port1_we, port1_wdata, bus_rdata);
 
   // ---- Dependency-list countdown updates. ----
   for (int e = 0; e < ne; ++e) {
     // Reload when a granted producer write hits this entry.
-    RtlExprPtr load;
-    for (int j = 0; j < np; ++j) {
-      RtlExprPtr term =
-          ebin(RtlOp::And, eref(d_grant[static_cast<std::size_t>(j)], 1),
-               pure_match(d_addr[static_cast<std::size_t>(j)], e));
-      load = load == nullptr
-                 ? std::move(term)
-                 : ebin(RtlOp::Or, std::move(load), std::move(term));
+    std::vector<RtlExprPtr> loads;
+    for (const ProducerNets& d : dport) {
+      loads.push_back(ebin(RtlOp::And, eref(d.grant, 1),
+                           pure_match(d.addr, e)));
     }
-    if (load == nullptr) load = econst(0, 1);
+    RtlExprPtr load = rtl::eor_chain(std::move(loads), 1);
     // Decrement when a granted consumer read hits this entry.
-    RtlExprPtr dec;
+    std::vector<RtlExprPtr> decs;
     for (int i = 0; i < nc; ++i) {
-      RtlExprPtr term =
+      decs.push_back(
           ebin(RtlOp::And, eref(c_granted[static_cast<std::size_t>(i)], 1),
-               pure_match(c_addr[static_cast<std::size_t>(i)], e));
-      dec = dec == nullptr ? std::move(term)
-                           : ebin(RtlOp::Or, std::move(dec), std::move(term));
+               pure_match(cport[static_cast<std::size_t>(i)].addr, e)));
     }
-    if (dec == nullptr) dec = econst(0, 1);
+    RtlExprPtr dec = rtl::eor_chain(std::move(decs), 1);
 
     int cnt = count[static_cast<std::size_t>(e)];
     // Saturating decrement: the countdown never wraps below zero, so a
@@ -412,7 +359,7 @@ rtl::Module& generate_arbitrated(rtl::Design& design,
   int id2 = m.add_reg("c_grant_id_q2", idw);
   m.seq(id2, eref(id1, idw));
   for (int i = 0; i < nc; ++i) {
-    m.assign(c_valid[static_cast<std::size_t>(i)],
+    m.assign(cport[static_cast<std::size_t>(i)].valid,
              ebin(RtlOp::And, eref(valid2, 1),
                   ebin(RtlOp::Eq, eref(id2, idw),
                        econst(static_cast<std::uint64_t>(i), idw))));

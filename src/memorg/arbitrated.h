@@ -19,7 +19,8 @@
 // Table 1's prose states. Timing on port C is non-deterministic: the
 // round-robin arbiter decides the delay after the producer's write.
 //
-// Generated port names (i = pseudo-port index):
+// Generated port names (i = pseudo-port index; the table and its binding
+// to net ids live in memorg/ports.h):
 //   clk, rst
 //   a_en, a_we, a_addr, a_wdata  ->  a_rdata (registered)
 //   b_en, b_we, b_addr, b_wdata  ->  b_grant, b_valid, bus_rdata

@@ -26,12 +26,32 @@ std::vector<DepEntry> build_dep_entries(
   return entries;
 }
 
-int total_slots(const std::vector<DepEntry>& entries) {
-  int n = 0;
-  for (const DepEntry& e : entries) {
-    n += 1 + static_cast<int>(e.consumer_ports.size());
+std::vector<Slot> slot_schedule(const std::vector<DepEntry>& entries) {
+  std::vector<Slot> schedule;
+  for (std::size_t e = 0; e < entries.size(); ++e) {
+    const int entry = static_cast<int>(e);
+    schedule.push_back(Slot{entry, true, entries[e].producer_port});
+    for (int cp : entries[e].consumer_ports) {
+      schedule.push_back(Slot{entry, false, cp});
+    }
   }
-  return n;
+  return schedule;
+}
+
+int find_slot(const std::vector<Slot>& schedule, int entry, bool producer,
+              int pseudo_port) {
+  for (std::size_t s = 0; s < schedule.size(); ++s) {
+    const Slot& slot = schedule[s];
+    if (slot.entry == entry && slot.producer == producer &&
+        slot.pseudo_port == pseudo_port) {
+      return static_cast<int>(s);
+    }
+  }
+  return -1;
+}
+
+int total_slots(const std::vector<DepEntry>& entries) {
+  return static_cast<int>(slot_schedule(entries).size());
 }
 
 int counter_width(const std::vector<DepEntry>& entries) {

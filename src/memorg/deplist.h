@@ -35,9 +35,25 @@ struct DepEntry {
 /// dependency number, at least 1 bit).
 [[nodiscard]] int counter_width(const std::vector<DepEntry>& entries);
 
-/// Length of the §3.2 modulo schedule over these entries: one producer
-/// slot plus one slot per consumer, per dependency. Shared by the
-/// event-driven generator and the coverage model's slot bins.
+/// One slot of the §3.2 modulo schedule: the endpoint that owns it.
+struct Slot {
+  int entry = 0;          // index into the entries
+  bool producer = false;  // the entry's producer write, else a consumer read
+  int pseudo_port = 0;    // on D (producer) or C (consumer)
+};
+
+/// The §3.2 slot order, the one enumeration of it: per entry, its producer
+/// slot, then one slot per consumer in static (pragma) order. The
+/// event-driven generator builds its selection logic from it; the system
+/// simulator and the testbench generator wait for its slots.
+[[nodiscard]] std::vector<Slot> slot_schedule(
+    const std::vector<DepEntry>& entries);
+
+/// Slot index of an endpoint in `schedule`; -1 if it owns none.
+[[nodiscard]] int find_slot(const std::vector<Slot>& schedule, int entry,
+                            bool producer, int pseudo_port);
+
+/// Length of the slot schedule (the coverage model's slot bins).
 [[nodiscard]] int total_slots(const std::vector<DepEntry>& entries);
 
 }  // namespace hicsync::memorg

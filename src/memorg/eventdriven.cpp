@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "memorg/ports.h"
 #include "rtl/builder.h"
 #include "support/bits.h"
 
@@ -25,7 +26,11 @@ rtl::Module& generate_eventdriven(rtl::Design& design,
   const int dw = cfg.data_width;
   const int nc = cfg.num_consumers;
   const int np = cfg.num_producers;
-  const int nslots = std::max(1, total_slots(cfg));
+  // The §3.2 schedule: owner of each slot; slot s is followed by s+1. A
+  // controller without dependencies keeps one idle producer slot.
+  std::vector<Slot> slots = slot_schedule(cfg.deps);
+  if (slots.empty()) slots.push_back(Slot{0, true, 0});
+  const int nslots = static_cast<int>(slots.size());
   const int sw = support::clog2_at_least1(
       static_cast<std::uint64_t>(std::max(nslots, cfg.max_slots)));
 
@@ -33,45 +38,20 @@ rtl::Module& generate_eventdriven(rtl::Design& design,
   (void)m.rst();
 
   // ---- Port A: direct. ----
-  int a_en = m.add_input("a_en", 1);
-  int a_we = m.add_input("a_we", 1);
-  int a_addr = m.add_input("a_addr", aw);
-  int a_wdata = m.add_input("a_wdata", dw);
-  int a_rdata = m.add_output_reg("a_rdata", dw);
+  const PortANets a = add_port_a(m, aw, dw);
 
   // ---- Producer ports. ----
-  std::vector<int> p_req(static_cast<std::size_t>(np));
-  std::vector<int> p_addr(static_cast<std::size_t>(np));
-  std::vector<int> p_wdata(static_cast<std::size_t>(np));
-  std::vector<int> p_grant(static_cast<std::size_t>(np));
-  std::vector<int> ev_p(static_cast<std::size_t>(np));
+  std::vector<ProducerNets> pport;
+  std::vector<int> ev_p;
   for (int j = 0; j < np; ++j) {
-    p_req[static_cast<std::size_t>(j)] =
-        m.add_input("p_req" + std::to_string(j), 1);
-    p_addr[static_cast<std::size_t>(j)] =
-        m.add_input("p_addr" + std::to_string(j), aw);
-    p_wdata[static_cast<std::size_t>(j)] =
-        m.add_input("p_wdata" + std::to_string(j), dw);
-    p_grant[static_cast<std::size_t>(j)] =
-        m.add_output("p_grant" + std::to_string(j), 1);
-    ev_p[static_cast<std::size_t>(j)] =
-        m.add_output("ev_p" + std::to_string(j), 1);
+    pport.push_back(add_producer_port(m, true, j, aw, dw));
+    ev_p.push_back(m.add_output("ev_p" + std::to_string(j), 1));
   }
 
   // ---- Consumer ports. ----
-  std::vector<int> c_req(static_cast<std::size_t>(nc));
-  std::vector<int> c_addr(static_cast<std::size_t>(nc));
-  std::vector<int> ev_c(static_cast<std::size_t>(nc));
-  std::vector<int> c_valid(static_cast<std::size_t>(nc));
+  std::vector<ConsumerNets> cport;  // grant = ev_c<i>
   for (int i = 0; i < nc; ++i) {
-    c_req[static_cast<std::size_t>(i)] =
-        m.add_input("c_req" + std::to_string(i), 1);
-    c_addr[static_cast<std::size_t>(i)] =
-        m.add_input("c_addr" + std::to_string(i), aw);
-    ev_c[static_cast<std::size_t>(i)] =
-        m.add_output("ev_c" + std::to_string(i), 1);
-    c_valid[static_cast<std::size_t>(i)] =
-        m.add_output("c_valid" + std::to_string(i), 1);
+    cport.push_back(add_consumer_port(m, true, i, aw));
   }
   int bus_rdata = m.add_output_reg("bus_rdata", dw);
 
@@ -79,20 +59,6 @@ rtl::Module& generate_eventdriven(rtl::Design& design,
   int slot = m.add_output_reg("slot", sw);
   int prev_slot = m.add_reg("prev_slot", sw);
   int advance_valid = m.add_reg("advance_valid", 1);
-
-  // Slot table: owner of each slot, and successor.
-  struct SlotInfo {
-    bool is_producer = false;
-    int port = 0;  // pseudo-port index on the owning side
-  };
-  std::vector<SlotInfo> slots;
-  for (const DepEntry& d : cfg.deps) {
-    slots.push_back(SlotInfo{true, d.producer_port});
-    for (int cp : d.consumer_ports) {
-      slots.push_back(SlotInfo{false, cp});
-    }
-  }
-  if (slots.empty()) slots.push_back(SlotInfo{true, 0});
 
   // One-hot decode of the slot register (shared by events, fire logic, and
   // the mux network).
@@ -111,9 +77,8 @@ rtl::Module& generate_eventdriven(rtl::Design& design,
   std::vector<int> fire(slots.size());
   for (std::size_t s = 0; s < slots.size(); ++s) {
     int w = m.add_wire("fire_s" + std::to_string(s), 1);
-    int owner_req = slots[s].is_producer
-                        ? p_req[static_cast<std::size_t>(slots[s].port)]
-                        : c_req[static_cast<std::size_t>(slots[s].port)];
+    const auto pp = static_cast<std::size_t>(slots[s].pseudo_port);
+    int owner_req = slots[s].producer ? pport[pp].req : cport[pp].req;
     m.assign(w, ebin(RtlOp::And, slot_is(static_cast<int>(s)),
                      eref(owner_req, 1)));
     fire[s] = w;
@@ -121,53 +86,34 @@ rtl::Module& generate_eventdriven(rtl::Design& design,
 
   // Events: slot ownership exported to the threads.
   for (int j = 0; j < np; ++j) {
-    RtlExprPtr any;
+    std::vector<RtlExprPtr> selected;
+    std::vector<RtlExprPtr> fired;
     for (std::size_t s = 0; s < slots.size(); ++s) {
-      if (!slots[s].is_producer || slots[s].port != j) continue;
-      RtlExprPtr term = slot_is(static_cast<int>(s));
-      any = any == nullptr
-                ? std::move(term)
-                : ebin(RtlOp::Or, std::move(any), std::move(term));
+      if (!slots[s].producer || slots[s].pseudo_port != j) continue;
+      selected.push_back(slot_is(static_cast<int>(s)));
+      fired.push_back(eref(fire[s], 1));
     }
-    if (any == nullptr) any = econst(0, 1);
-    m.assign(ev_p[static_cast<std::size_t>(j)], std::move(any));
-    m.assign(p_grant[static_cast<std::size_t>(j)],
-             [&]() -> RtlExprPtr {
-               RtlExprPtr g;
-               for (std::size_t s = 0; s < slots.size(); ++s) {
-                 if (!slots[s].is_producer || slots[s].port != j) continue;
-                 RtlExprPtr term = eref(fire[s], 1);
-                 g = g == nullptr
-                         ? std::move(term)
-                         : ebin(RtlOp::Or, std::move(g), std::move(term));
-               }
-               return g != nullptr ? std::move(g) : econst(0, 1);
-             }());
+    m.assign(ev_p[static_cast<std::size_t>(j)],
+             rtl::eor_chain(std::move(selected), 1));
+    m.assign(pport[static_cast<std::size_t>(j)].grant,
+             rtl::eor_chain(std::move(fired), 1));
   }
   for (int i = 0; i < nc; ++i) {
-    RtlExprPtr any;
+    std::vector<RtlExprPtr> selected;
     for (std::size_t s = 0; s < slots.size(); ++s) {
-      if (slots[s].is_producer || slots[s].port != i) continue;
-      RtlExprPtr term = slot_is(static_cast<int>(s));
-      any = any == nullptr
-                ? std::move(term)
-                : ebin(RtlOp::Or, std::move(any), std::move(term));
+      if (slots[s].producer || slots[s].pseudo_port != i) continue;
+      selected.push_back(slot_is(static_cast<int>(s)));
     }
-    if (any == nullptr) any = econst(0, 1);
-    m.assign(ev_c[static_cast<std::size_t>(i)], std::move(any));
+    m.assign(cport[static_cast<std::size_t>(i)].grant,
+             rtl::eor_chain(std::move(selected), 1));
   }
 
   // Slot advance: when the current slot's owner fires, move to the next
   // slot (wrapping the last slot to 0) — this *is* the modulo schedule.
-  RtlExprPtr any_fire;
-  for (std::size_t s = 0; s < slots.size(); ++s) {
-    RtlExprPtr f = eref(fire[s], 1);
-    any_fire = any_fire == nullptr
-                   ? std::move(f)
-                   : ebin(RtlOp::Or, std::move(any_fire), std::move(f));
-  }
+  std::vector<RtlExprPtr> fired;
+  for (int f : fire) fired.push_back(eref(f, 1));
   int advance = m.add_wire("advance", 1);
-  m.assign(advance, std::move(any_fire));
+  m.assign(advance, rtl::eor_chain(std::move(fired), 1));
 
   std::vector<rtl::RtlExprPtr> succ_values;
   for (std::size_t s = 0; s < slots.size(); ++s) {
@@ -184,7 +130,7 @@ rtl::Module& generate_eventdriven(rtl::Design& design,
   // operand register stage, then the BRAM read register.
   std::vector<rtl::RtlExprPtr> consumed_terms;
   for (std::size_t s = 0; s < slots.size(); ++s) {
-    if (!slots[s].is_producer) consumed_terms.push_back(eref(fire[s], 1));
+    if (!slots[s].producer) consumed_terms.push_back(eref(fire[s], 1));
   }
   m.seq(advance_valid, rtl::eor_tree(std::move(consumed_terms), 1));
   int v2 = m.add_reg("read_valid_q2", 1);
@@ -195,11 +141,11 @@ rtl::Module& generate_eventdriven(rtl::Design& design,
   for (int i = 0; i < nc; ++i) {
     std::vector<rtl::RtlExprPtr> mine;
     for (std::size_t s = 0; s < slots.size(); ++s) {
-      if (slots[s].is_producer || slots[s].port != i) continue;
+      if (slots[s].producer || slots[s].pseudo_port != i) continue;
       mine.push_back(ebin(RtlOp::Eq, eref(ps2, sw),
                           econst(static_cast<std::uint64_t>(s), sw)));
     }
-    m.assign(c_valid[static_cast<std::size_t>(i)],
+    m.assign(cport[static_cast<std::size_t>(i)].valid,
              ebin(RtlOp::And, eref(v2, 1),
                   rtl::eor_tree(std::move(mine), 1)));
   }
@@ -215,16 +161,14 @@ rtl::Module& generate_eventdriven(rtl::Design& design,
   std::vector<rtl::RtlExprPtr> we_terms;
   for (std::size_t s = 0; s < slots.size(); ++s) {
     addr_sel.push_back(slot_onehot[s]);
-    if (slots[s].is_producer) {
-      addr_vals.push_back(
-          eref(p_addr[static_cast<std::size_t>(slots[s].port)], aw));
+    const auto pp = static_cast<std::size_t>(slots[s].pseudo_port);
+    if (slots[s].producer) {
+      addr_vals.push_back(eref(pport[pp].addr, aw));
       wdata_sel.push_back(slot_onehot[s]);
-      wdata_vals.push_back(
-          eref(p_wdata[static_cast<std::size_t>(slots[s].port)], dw));
+      wdata_vals.push_back(eref(pport[pp].wdata, dw));
       we_terms.push_back(eref(fire[s], 1));
     } else {
-      addr_vals.push_back(
-          eref(c_addr[static_cast<std::size_t>(slots[s].port)], aw));
+      addr_vals.push_back(eref(cport[pp].addr, aw));
     }
   }
   int port1_addr = m.add_reg("port1_addr", aw);
@@ -236,24 +180,9 @@ rtl::Module& generate_eventdriven(rtl::Design& design,
   int port1_we = m.add_reg("port1_we", 1);
   m.seq(port1_we, rtl::eor_tree(std::move(we_terms), 1));
 
-  // ---- BRAM. ----
-  rtl::Memory& mem = m.add_memory("mem", dw, 1 << aw);
-  {
-    rtl::MemoryPort p0;
-    p0.addr = eref(a_addr, aw);
-    p0.write_enable = ebin(RtlOp::And, eref(a_en, 1), eref(a_we, 1));
-    p0.write_data = eref(a_wdata, dw);
-    p0.read_data = a_rdata;
-    mem.ports.push_back(std::move(p0));
-  }
-  {
-    rtl::MemoryPort p1;
-    p1.addr = eref(port1_addr, aw);
-    p1.write_enable = eref(port1_we, 1);
-    p1.write_data = eref(port1_wdata, dw);
-    p1.read_data = bus_rdata;
-    mem.ports.push_back(std::move(p1));
-  }
+  // ---- The BRAM: port A on physical port 0, port 1 behind the operand
+  // registers. ----
+  add_bram(m, a, port1_addr, port1_we, port1_wdata, bus_rdata);
 
   return m;
 }

@@ -15,7 +15,8 @@
 // read. Post-write latency is deterministic: consumer k of a dependency
 // reads exactly k+1 accepted slots after the write.
 //
-// Generated port names:
+// Generated port names (the table and its binding to net ids live in
+// memorg/ports.h; the slot order is memorg::slot_schedule):
 //   clk, rst
 //   a_en, a_we, a_addr, a_wdata -> a_rdata
 //   p_req<j>, p_addr<j>, p_wdata<j> -> p_grant<j>, ev_p<j>

@@ -4,37 +4,29 @@ namespace hicsync::memorg {
 
 void ControllerProbe::sample(const rtl::ModuleSim& sim, std::uint64_t cycle,
                              trace::TraceBus& bus) {
+  const ControllerPorts& ports = config_.ports;
   trace::Event e;
   e.cycle = cycle;
   e.controller = config_.controller;
   e.kind = trace::EventKind::ArbWin;
 
-  for (int i = 0; i < config_.num_consumers; ++i) {
-    // Arbitrated controllers grant reads explicitly; the event-driven
-    // schedule accepts a read when the consumer's slot is selected
-    // (ev_c<i>) while its request is up.
-    const std::string idx = std::to_string(i);
-    const bool won = config_.event_driven
-                         ? sim.get("ev_c" + idx) != 0 &&
-                               sim.get("c_req" + idx) != 0
-                         : sim.get("c_grant" + idx) != 0;
-    if (won) {
-      e.port = trace::PortKind::C;
-      e.pseudo_port = i;
+  e.port = trace::PortKind::C;
+  for (std::size_t i = 0; i < ports.consumers.size(); ++i) {
+    if (ports.read_accepted(sim, static_cast<int>(i))) {
+      e.pseudo_port = static_cast<int>(i);
       bus.emit(e);
     }
   }
-  const char* producer_grant = config_.event_driven ? "p_grant" : "d_grant";
-  for (int j = 0; j < config_.num_producers; ++j) {
-    if (sim.get(producer_grant + std::to_string(j)) != 0) {
-      e.port = trace::PortKind::D;
-      e.pseudo_port = j;
+  e.port = trace::PortKind::D;
+  for (std::size_t j = 0; j < ports.producers.size(); ++j) {
+    if (sim.get(ports.producers[j].grant) != 0) {
+      e.pseudo_port = static_cast<int>(j);
       bus.emit(e);
     }
   }
 
-  if (config_.event_driven) {
-    auto slot = static_cast<std::int64_t>(sim.get("slot"));
+  if (ports.event_driven) {
+    auto slot = static_cast<std::int64_t>(sim.get(ports.slot));
     if (slot != last_slot_) {
       last_slot_ = slot;
       trace::Event se;

@@ -8,21 +8,22 @@
 // emitted Verilog exposes, independent of the thread-side bookkeeping.
 #pragma once
 
+#include <utility>
+
+#include "memorg/ports.h"
 #include "rtl/eval.h"
 #include "trace/bus.h"
 
 namespace hicsync::memorg {
 
 struct ProbeConfig {
-  int controller = -1;        // BRAM id stamped onto events
-  bool event_driven = false;  // selects d_grant vs p_grant + slot sampling
-  int num_consumers = 0;
-  int num_producers = 0;
+  int controller = -1;    // BRAM id stamped onto events
+  ControllerPorts ports;  // the sampled controller's bound ports
 };
 
 class ControllerProbe {
  public:
-  explicit ControllerProbe(ProbeConfig config) : config_(config) {}
+  explicit ControllerProbe(ProbeConfig config) : config_(std::move(config)) {}
 
   /// Call once per cycle after the netlist settled, before the clock edge.
   void sample(const rtl::ModuleSim& sim, std::uint64_t cycle,

@@ -182,6 +182,15 @@ RtlExprPtr eor_tree(std::vector<RtlExprPtr> terms, int width) {
   return std::move(level[0]);
 }
 
+RtlExprPtr eor_chain(std::vector<RtlExprPtr> terms, int width) {
+  if (terms.empty()) return econst(0, width);
+  RtlExprPtr chain = std::move(terms[0]);
+  for (std::size_t i = 1; i < terms.size(); ++i) {
+    chain = ebin(RtlOp::Or, std::move(chain), std::move(terms[i]));
+  }
+  return chain;
+}
+
 RtlExprPtr build_onehot_mux(Module& m, const std::vector<int>& selects,
                             std::vector<RtlExprPtr> values, int width) {
   m.claim_onehot(selects, "one-hot mux");

@@ -47,6 +47,8 @@ struct ArbiterNets {
 
 /// Balanced OR tree over expressions (nullptr-safe; identity 0 when empty).
 [[nodiscard]] RtlExprPtr eor_tree(std::vector<RtlExprPtr> terms, int width);
+/// Left-folded OR chain ((t0 | t1) | t2) ...; identity 0 when empty.
+[[nodiscard]] RtlExprPtr eor_chain(std::vector<RtlExprPtr> terms, int width);
 
 /// One-hot AND-OR multiplexer: result = OR_i (select[i] ? values[i] : 0).
 /// Selects must be mutually exclusive 1-bit nets. Depth is logarithmic in

@@ -5,6 +5,9 @@
 #include <stdexcept>
 
 namespace hicsync::rtl {
+
+using support::low_mask;
+
 namespace {
 
 void collect_refs(const RtlExpr& e, std::set<int>& refs) {
@@ -74,8 +77,9 @@ ModuleSim::ModuleSim(const Module& module, const SimOptions& options)
   }
   values_.assign(module.nets().size(), 0);
   for (const Net& n : module.nets()) names_[n.name] = n.id;
+  if (auto it = names_.find("rst"); it != names_.end()) rst_ = it->second;
   for (const Memory& m : module.memories()) {
-    memories_[m.name].assign(static_cast<std::size_t>(m.depth), 0);
+    memories_.emplace_back(static_cast<std::size_t>(m.depth), 0);
   }
 
   // Topologically order the continuous assigns.
@@ -121,11 +125,6 @@ ModuleSim::ModuleSim(const Module& module, const SimOptions& options)
   settle();
 }
 
-std::uint64_t ModuleSim::mask(std::uint64_t v, int width) {
-  if (width >= 64) return v;
-  return v & ((1ULL << width) - 1);
-}
-
 int ModuleSim::net_id(const std::string& name) const {
   auto it = names_.find(name);
   if (it == names_.end()) {
@@ -134,14 +133,12 @@ int ModuleSim::net_id(const std::string& name) const {
   return it->second;
 }
 
-void ModuleSim::set_input(const std::string& name, std::uint64_t value) {
-  int id = net_id(name);
-  values_[static_cast<std::size_t>(id)] =
-      mask(value, module_.net(id).width);
-}
-
-std::uint64_t ModuleSim::get(const std::string& name) const {
-  return values_[static_cast<std::size_t>(net_id(name))];
+std::size_t ModuleSim::memory_index(const std::string& name) const {
+  const auto& mems = module_.memories();
+  for (std::size_t i = 0; i < mems.size(); ++i) {
+    if (mems[i].name == name) return i;
+  }
+  throw std::runtime_error("ModuleSim: no memory named '" + name + "'");
 }
 
 std::uint64_t ModuleSim::eval(const RtlExpr& e) const {
@@ -150,29 +147,27 @@ std::uint64_t ModuleSim::eval(const RtlExpr& e) const {
       return e.value;
     case RtlOp::Ref:
       return values_[static_cast<std::size_t>(e.net)];
-    case RtlOp::Slice: {
-      std::uint64_t v = eval(*e.args[0]);
-      return mask(v >> e.lo, e.hi - e.lo + 1);
-    }
+    case RtlOp::Slice:
+      return (eval(*e.args[0]) >> e.lo) & low_mask(e.hi - e.lo + 1);
     case RtlOp::Concat: {
       std::uint64_t v = 0;
       for (const auto& a : e.args) {
-        v = (v << a->width) | mask(eval(*a), a->width);
+        v = (v << a->width) | (eval(*a) & low_mask(a->width));
       }
-      return mask(v, e.width);
+      return v & low_mask(e.width);
     }
     case RtlOp::Not:
-      return mask(~eval(*e.args[0]), e.width);
+      return ~eval(*e.args[0]) & low_mask(e.width);
     case RtlOp::And:
-      return mask(eval(*e.args[0]) & eval(*e.args[1]), e.width);
+      return eval(*e.args[0]) & eval(*e.args[1]) & low_mask(e.width);
     case RtlOp::Or:
-      return mask(eval(*e.args[0]) | eval(*e.args[1]), e.width);
+      return (eval(*e.args[0]) | eval(*e.args[1])) & low_mask(e.width);
     case RtlOp::Xor:
-      return mask(eval(*e.args[0]) ^ eval(*e.args[1]), e.width);
+      return (eval(*e.args[0]) ^ eval(*e.args[1])) & low_mask(e.width);
     case RtlOp::Add:
-      return mask(eval(*e.args[0]) + eval(*e.args[1]), e.width);
+      return (eval(*e.args[0]) + eval(*e.args[1])) & low_mask(e.width);
     case RtlOp::Sub:
-      return mask(eval(*e.args[0]) - eval(*e.args[1]), e.width);
+      return (eval(*e.args[0]) - eval(*e.args[1])) & low_mask(e.width);
     case RtlOp::Eq:
       return eval(*e.args[0]) == eval(*e.args[1]) ? 1 : 0;
     case RtlOp::Ne:
@@ -182,20 +177,18 @@ std::uint64_t ModuleSim::eval(const RtlExpr& e) const {
     case RtlOp::Le:
       return eval(*e.args[0]) <= eval(*e.args[1]) ? 1 : 0;
     case RtlOp::Shl:
-      return mask(eval(*e.args[0]) << eval(*e.args[1]), e.width);
+      return (eval(*e.args[0]) << eval(*e.args[1])) & low_mask(e.width);
     case RtlOp::Shr:
-      return mask(eval(*e.args[0]) >> eval(*e.args[1]), e.width);
+      return (eval(*e.args[0]) >> eval(*e.args[1])) & low_mask(e.width);
     case RtlOp::Mux:
-      return mask(eval(*e.args[0]) != 0 ? eval(*e.args[1])
-                                        : eval(*e.args[2]),
-                  e.width);
+      return (eval(*e.args[0]) != 0 ? eval(*e.args[1]) : eval(*e.args[2])) &
+             low_mask(e.width);
     case RtlOp::ReduceOr:
       return eval(*e.args[0]) != 0 ? 1 : 0;
-    case RtlOp::ReduceAnd:
-      return mask(eval(*e.args[0]), e.args[0]->width) ==
-                     mask(~0ULL, e.args[0]->width)
-                 ? 1
-                 : 0;
+    case RtlOp::ReduceAnd: {
+      const std::uint64_t all = low_mask(e.args[0]->width);
+      return (eval(*e.args[0]) & all) == all ? 1 : 0;
+    }
   }
   return 0;
 }
@@ -204,108 +197,89 @@ void ModuleSim::settle() {
   for (int i : order_) {
     const ContAssign& a = module_.assigns()[static_cast<std::size_t>(i)];
     values_[static_cast<std::size_t>(a.target)] =
-        mask(eval(*a.value), module_.net(a.target).width);
+        eval(*a.value) & low_mask(module_.net(a.target).width);
   }
 }
 
 void ModuleSim::step() {
   settle();
 
-  // Evaluate all next-state values with pre-edge combinational state.
+  // Evaluate every next-state value and memory port with the pre-edge
+  // combinational state, then commit them together.
   struct Commit {
     int target;
     std::uint64_t value;
   };
-  std::vector<Commit> reg_commits;
-  bool in_reset = false;
-  // Reset net, if the module has one.
-  auto rst_it = names_.find("rst");
-  if (rst_it != names_.end()) {
-    in_reset = values_[static_cast<std::size_t>(rst_it->second)] != 0;
-  }
-  for (const SeqAssign& s : module_.seqs()) {
-    if (in_reset && s.has_reset) {
-      reg_commits.push_back(Commit{s.target, s.reset_value});
-      continue;
-    }
-    if (s.enable != nullptr && eval(*s.enable) == 0) continue;
-    reg_commits.push_back(
-        Commit{s.target, mask(eval(*s.value),
-                              module_.net(s.target).width)});
-  }
-
-  struct MemCommit {
-    std::string mem;
+  struct MemWrite {
+    std::size_t memory;
     std::size_t addr;
     std::uint64_t value;
   };
-  std::vector<MemCommit> mem_writes;
-  std::vector<Commit> mem_reads;
-  for (const Memory& mem : module_.memories()) {
-    auto& storage = memories_[mem.name];
+  std::vector<Commit> commits;  // registers, then memory read ports
+  std::vector<MemWrite> mem_writes;
+  const bool in_reset = rst_ >= 0 && get(rst_) != 0;
+  for (const SeqAssign& s : module_.seqs()) {
+    if (in_reset && s.has_reset) {
+      commits.push_back(Commit{s.target, s.reset_value});
+      continue;
+    }
+    if (s.enable != nullptr && eval(*s.enable) == 0) continue;
+    commits.push_back(Commit{
+        s.target, eval(*s.value) & low_mask(module_.net(s.target).width)});
+  }
+  const auto& mems = module_.memories();
+  for (std::size_t m = 0; m < mems.size(); ++m) {
+    const Memory& mem = mems[m];
+    const std::vector<std::uint64_t>& storage = memories_[m];
     for (const MemoryPort& p : mem.ports) {
       std::size_t addr = static_cast<std::size_t>(eval(*p.addr)) %
                          storage.size();
       if (p.read_data >= 0) {
         // Read-first: capture the pre-edge contents.
-        mem_reads.push_back(Commit{p.read_data,
-                                   mask(storage[addr], mem.width)});
+        commits.push_back(
+            Commit{p.read_data, storage[addr] & low_mask(mem.width)});
       }
       if (p.write_enable != nullptr && eval(*p.write_enable) != 0 &&
           !in_reset) {
         mem_writes.push_back(
-            MemCommit{mem.name, addr, mask(eval(*p.write_data), mem.width)});
+            MemWrite{m, addr, eval(*p.write_data) & low_mask(mem.width)});
       }
     }
   }
 
-  for (const Commit& c : reg_commits) {
+  for (const Commit& c : commits) {
     values_[static_cast<std::size_t>(c.target)] = c.value;
   }
-  for (const Commit& c : mem_reads) {
-    values_[static_cast<std::size_t>(c.target)] = c.value;
-  }
-  for (const MemCommit& w : mem_writes) {
-    memories_[w.mem][w.addr] = w.value;
+  for (const MemWrite& w : mem_writes) {
+    memories_[w.memory][w.addr] = w.value;
   }
   ++cycles_;
   settle();
 }
 
 void ModuleSim::reset() {
-  auto it = names_.find("rst");
-  if (it == names_.end()) return;
-  set_input("rst", 1);
+  if (rst_ < 0) return;
+  set_input(rst_, 1);
   step();
-  set_input("rst", 0);
+  set_input(rst_, 0);
   settle();
 }
 
 void ModuleSim::clear_state() {
   std::fill(values_.begin(), values_.end(), 0);
-  for (auto& [name, words] : memories_) {
-    std::fill(words.begin(), words.end(), 0);
-  }
+  for (auto& words : memories_) std::fill(words.begin(), words.end(), 0);
   cycles_ = 0;
   settle();
 }
 
 std::uint64_t ModuleSim::read_mem(const std::string& mem,
                                   std::size_t addr) const {
-  auto it = memories_.find(mem);
-  if (it == memories_.end()) {
-    throw std::runtime_error("ModuleSim: no memory named '" + mem + "'");
-  }
-  return it->second.at(addr);
+  return memories_[memory_index(mem)].at(addr);
 }
 
 void ModuleSim::write_mem(const std::string& mem, std::size_t addr,
                           std::uint64_t value) {
-  auto it = memories_.find(mem);
-  if (it == memories_.end()) {
-    throw std::runtime_error("ModuleSim: no memory named '" + mem + "'");
-  }
-  it->second.at(addr) = value;
+  memories_[memory_index(mem)].at(addr) = value;
 }
 
 }  // namespace hicsync::rtl

@@ -6,6 +6,11 @@
 // and memory ports commit on the clock edge. Memories follow the BRAM
 // read-first convention (a simultaneous read sees the old contents).
 //
+// A cycle is: set inputs -> settle() -> read outputs -> step(). Nets are
+// addressed by id (rtl::Net::id); the by-name overloads look the id up
+// first, so per-cycle drivers resolve their nets once (memorg::bind_ports)
+// and use the id forms.
+//
 // Instances are not elaborated — generators emit flat controller modules.
 #pragma once
 
@@ -15,6 +20,7 @@
 #include <vector>
 
 #include "rtl/netlist.h"
+#include "support/bits.h"
 
 namespace hicsync::rtl {
 
@@ -37,10 +43,24 @@ class ModuleSim {
   ModuleSim(const Module& module, const SimOptions& options);
 
   /// Sets an input port value (masked to the port width).
-  void set_input(const std::string& name, std::uint64_t value);
+  void set_input(int net, std::uint64_t value) {
+    values_[static_cast<std::size_t>(net)] =
+        value & support::low_mask(module_.net(net).width);
+  }
+  void set_input(const std::string& name, std::uint64_t value) {
+    set_input(net_id(name), value);
+  }
 
-  /// Value of any named net after the last settle/step.
-  [[nodiscard]] std::uint64_t get(const std::string& name) const;
+  /// Value of any net after the last settle/step.
+  [[nodiscard]] std::uint64_t get(int net) const {
+    return values_[static_cast<std::size_t>(net)];
+  }
+  [[nodiscard]] std::uint64_t get(const std::string& name) const {
+    return get(net_id(name));
+  }
+
+  /// Id of the named net; throws std::runtime_error if there is none.
+  [[nodiscard]] int net_id(const std::string& name) const;
 
   /// Re-evaluates combinational logic with current inputs/registers
   /// (no clock edge).
@@ -71,14 +91,14 @@ class ModuleSim {
 
  private:
   [[nodiscard]] std::uint64_t eval(const RtlExpr& e) const;
-  [[nodiscard]] int net_id(const std::string& name) const;
-  [[nodiscard]] static std::uint64_t mask(std::uint64_t v, int width);
+  [[nodiscard]] std::size_t memory_index(const std::string& name) const;
 
   const Module& module_;
-  std::vector<std::uint64_t> values_;          // per net
-  std::vector<int> order_;                     // topo order of assigns_
-  std::map<std::string, std::vector<std::uint64_t>> memories_;
+  std::vector<std::uint64_t> values_;                 // per net
+  std::vector<int> order_;                            // topo order of assigns_
+  std::vector<std::vector<std::uint64_t>> memories_;  // per module memory
   std::map<std::string, int> names_;
+  int rst_ = -1;                                      // "rst" net, if any
   std::uint64_t cycles_ = 0;
 };
 

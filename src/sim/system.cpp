@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "memalloc/sizing.h"
+#include "memorg/ports.h"
 #include "memorg/probe.h"
 #include "support/bits.h"
 #include "support/strings.h"
@@ -38,9 +39,9 @@ std::uint64_t DepRound::completion_latency() const {
 
 namespace {
 
+/// `v` cut to `width` bits; a width <= 0 (an untyped value) is unmasked.
 std::uint64_t mask_width(std::uint64_t v, int width) {
-  if (width <= 0 || width >= 64) return v;
-  return v & ((1ULL << width) - 1);
+  return width <= 0 ? v : v & support::low_mask(width);
 }
 
 }  // namespace
@@ -51,10 +52,11 @@ std::uint64_t mask_width(std::uint64_t v, int width) {
 
 struct SystemSim::Controller {
   int bram_id = -1;
-  OrgKind kind = OrgKind::Arbitrated;
   const memalloc::BramPortPlan* plan = nullptr;
   std::vector<memorg::DepEntry> entries;
   std::unique_ptr<rtl::ModuleSim> sim;
+  memorg::ControllerPorts ports;
+  std::vector<memorg::Slot> schedule;  // event-driven only
 
   // Port A host-side sharing: one owner per cycle, rotating for fairness.
   std::vector<std::string> a_waiters;
@@ -64,54 +66,22 @@ struct SystemSim::Controller {
   // hic-trace probe over the generated netlist (grants, slot).
   std::unique_ptr<memorg::ControllerProbe> probe;
 
-  // Event-driven slot table: slot index of each (dep, endpoint).
-  struct SlotRef {
-    std::string dep_id;
-    bool is_producer = false;
-    int pseudo_port = 0;
-  };
-  std::vector<SlotRef> slot_table;
-
   [[nodiscard]] int pseudo_port(const std::string& thread,
                                 memalloc::LogicalPort port) const {
     const memalloc::PortClient* c = plan->client_for(thread, port);
     return c != nullptr ? c->pseudo_port : -1;
   }
 
-  /// Slot index of a dependency endpoint (event-driven only); -1 if absent.
-  [[nodiscard]] int slot_of(const std::string& dep_id, bool producer,
-                            int pseudo_port_index) const {
-    for (std::size_t s = 0; s < slot_table.size(); ++s) {
-      const SlotRef& r = slot_table[s];
-      if (r.dep_id == dep_id && r.is_producer == producer &&
-          r.pseudo_port == pseudo_port_index) {
-        return static_cast<int>(s);
-      }
-    }
-    return -1;
-  }
-
   void begin_cycle() {
     // Clear all request-style inputs; threads re-assert each cycle.
-    if (kind == OrgKind::Arbitrated) {
-      for (const auto& c : plan->clients) {
-        if (c.port == memalloc::LogicalPort::C) {
-          sim->set_input("c_req" + std::to_string(c.pseudo_port), 0);
-        } else if (c.port == memalloc::LogicalPort::D) {
-          sim->set_input("d_req" + std::to_string(c.pseudo_port), 0);
-        }
-      }
-    } else {
-      for (const auto& c : plan->clients) {
-        if (c.port == memalloc::LogicalPort::C) {
-          sim->set_input("c_req" + std::to_string(c.pseudo_port), 0);
-        } else if (c.port == memalloc::LogicalPort::D) {
-          sim->set_input("p_req" + std::to_string(c.pseudo_port), 0);
-        }
-      }
+    for (const memorg::ConsumerNets& c : ports.consumers) {
+      sim->set_input(c.req, 0);
     }
-    sim->set_input("a_en", 0);
-    sim->set_input("a_we", 0);
+    for (const memorg::ProducerNets& p : ports.producers) {
+      sim->set_input(p.req, 0);
+    }
+    sim->set_input(ports.a.en, 0);
+    sim->set_input(ports.a.we, 0);
     // Resolve port A ownership among last cycle's waiters.
     if (!a_waiters.empty()) {
       std::sort(a_waiters.begin(), a_waiters.end());
@@ -139,6 +109,31 @@ struct SystemSim::Controller {
   }
 };
 
+// One memory operation in flight.
+struct SystemSim::MemOp {
+  enum class Stage {
+    Idle,
+    PortA,          // waiting to own / issue on port A
+    PortA_Data,     // port A read issued, data next cycle
+    Request,        // arbitrated C/D request outstanding
+    WaitValid,      // waiting for read data valid
+    EvWaitSlot,     // event-driven: waiting for our slot
+    Done,
+  };
+  Stage stage = Stage::Idle;
+  Controller* ctrl = nullptr;
+  bool is_write = false;
+  synth::AccessRole role = synth::AccessRole::Plain;
+  const hic::Dependency* dep = nullptr;
+  std::uint64_t addr = 0;
+  std::uint64_t wdata = 0;
+  std::uint64_t result = 0;
+  int pseudo_port = -1;
+  int target_slot = -1;   // event-driven
+  std::size_t round = static_cast<std::size_t>(-1);  // DepRound index
+  std::uint64_t wait_cycles = 0;  // consecutive stalled cycles
+};
+
 // ---------------------------------------------------------------------------
 // ThreadExec: interprets one synthesized FSM.
 // ---------------------------------------------------------------------------
@@ -154,30 +149,7 @@ struct SystemSim::ThreadExec {
   Mode mode = Mode::Gated;
   int state = -1;
 
-  // One memory operation in flight.
-  struct MemOp {
-    enum class Stage {
-      Idle,
-      PortA,          // waiting to own / issue on port A
-      PortA_Data,     // port A read issued, data next cycle
-      Request,        // arbitrated C/D request outstanding
-      WaitValid,      // waiting for read data valid
-      EvWaitSlot,     // event-driven: waiting for our slot
-      Done,
-    };
-    Stage stage = Stage::Idle;
-    Controller* ctrl = nullptr;
-    bool is_write = false;
-    synth::AccessRole role = synth::AccessRole::Plain;
-    const hic::Dependency* dep = nullptr;
-    std::uint64_t addr = 0;
-    std::uint64_t wdata = 0;
-    std::uint64_t result = 0;
-    int pseudo_port = -1;
-    int target_slot = -1;   // event-driven
-    std::size_t round = static_cast<std::size_t>(-1);  // DepRound index
-    std::uint64_t wait_cycles = 0;  // consecutive stalled cycles
-  };
+  using MemOp = SystemSim::MemOp;
 
   // Execution plan of the current state: one entry per statement (the
   // scheduler may have chained several into the state).
@@ -201,14 +173,17 @@ struct SystemSim::ThreadExec {
   bool trace_blocked = false;  // a ThreadBlock event is open
 
   /// The memory operation currently in flight, if any.
-  [[nodiscard]] const MemOp* current_op() const {
+  [[nodiscard]] MemOp* current_op() {
     if (plan_index >= plan.size()) return nullptr;
-    const StmtPlan& p = plan[plan_index];
+    StmtPlan& p = plan[plan_index];
     if (mode == Mode::Fetch && operand_index < p.operands.size()) {
       return &p.operands[operand_index].op;
     }
     if (mode == Mode::Write) return &p.write;
     return nullptr;
+  }
+  [[nodiscard]] const MemOp* current_op() const {
+    return const_cast<ThreadExec*>(this)->current_op();
   }
 };
 
@@ -231,34 +206,23 @@ SystemSim::SystemSim(const hic::Program& program, const hic::Sema& sema,
     }
     auto ctrl = std::make_unique<Controller>();
     ctrl->bram_id = bram.id;
-    ctrl->kind = options.organization;
     ctrl->plan = plan;
     ctrl->entries = memorg::build_dep_entries(bram, *plan);
     std::string name = "memorg_bram" + std::to_string(bram.id);
-    if (options.organization == OrgKind::Arbitrated) {
-      memorg::ArbitratedConfig cfg = memorg::arbitrated_config_from(bram, *plan);
-      rtl::Module& m = memorg::generate_arbitrated(design_, cfg, name);
-      ctrl->sim = std::make_unique<rtl::ModuleSim>(m);
-    } else {
-      memorg::EventDrivenConfig cfg =
-          memorg::eventdriven_config_from(bram, *plan);
-      rtl::Module& m = memorg::generate_eventdriven(design_, cfg, name);
-      ctrl->sim = std::make_unique<rtl::ModuleSim>(m);
-      // Mirror the generator's slot enumeration.
-      for (const memorg::DepEntry& e : ctrl->entries) {
-        ctrl->slot_table.push_back(
-            Controller::SlotRef{e.id, true, e.producer_port});
-        for (int cp : e.consumer_ports) {
-          ctrl->slot_table.push_back(Controller::SlotRef{e.id, false, cp});
-        }
-      }
-    }
-    memorg::ProbeConfig probe_cfg;
-    probe_cfg.controller = bram.id;
-    probe_cfg.event_driven = options.organization == OrgKind::EventDriven;
-    probe_cfg.num_consumers = plan->consumer_pseudo_ports();
-    probe_cfg.num_producers = plan->producer_pseudo_ports();
-    ctrl->probe = std::make_unique<memorg::ControllerProbe>(probe_cfg);
+    const bool event_driven = options.organization == OrgKind::EventDriven;
+    const rtl::Module& m =
+        event_driven
+            ? memorg::generate_eventdriven(
+                  design_, memorg::eventdriven_config_from(bram, *plan), name)
+            : memorg::generate_arbitrated(
+                  design_, memorg::arbitrated_config_from(bram, *plan), name);
+    ctrl->sim = std::make_unique<rtl::ModuleSim>(m);
+    ctrl->ports =
+        memorg::bind_ports(m, event_driven, plan->consumer_pseudo_ports(),
+                           plan->producer_pseudo_ports());
+    if (event_driven) ctrl->schedule = memorg::slot_schedule(ctrl->entries);
+    ctrl->probe = std::make_unique<memorg::ControllerProbe>(
+        memorg::ProbeConfig{bram.id, ctrl->ports});
     ctrl->sim->reset();
     controllers_.push_back(std::move(ctrl));
   }
@@ -550,12 +514,12 @@ std::uint64_t eval_expr(const hic::Expr& e, const EvalCtx& ctx) {
 // ---------------------------------------------------------------------------
 
 void SystemSim::step() {
-  const bool tracing = trace_ != nullptr && trace_->active();
-  if (tracing) trace_->begin_cycle(cycle_);
+  const bool traced = tracing();
+  if (traced) trace_->begin_cycle(cycle_);
   for (auto& ctrl : controllers_) ctrl->begin_cycle();
   drive_phase();
   for (auto& ctrl : controllers_) ctrl->sim->settle();
-  if (tracing) {
+  if (traced) {
     for (auto& ctrl : controllers_) {
       ctrl->probe->sample(*ctrl->sim, cycle_, *trace_);
     }
@@ -597,51 +561,72 @@ namespace {
 
 using ThreadExecT = SystemSim::ThreadExec;
 
-void drive_mem_op(ThreadExecT& t, ThreadExecT::MemOp& mo) {
+/// Puts a new memory operation on its port: port A, or — for a
+/// synchronized access — the thread's C/D pseudo-port, behind its schedule
+/// slot in the event-driven organization.
+void start_mem_op(const ThreadExecT& t, SystemSim::MemOp& mo) {
+  using Stage = SystemSim::MemOp::Stage;
+  const bool synced = mo.role == (mo.is_write
+                                      ? synth::AccessRole::ProducerWrite
+                                      : synth::AccessRole::ConsumerRead);
+  if (!synced) {
+    mo.stage = Stage::PortA;
+    return;
+  }
+  const SystemSim::Controller& c = *mo.ctrl;
+  mo.pseudo_port =
+      c.pseudo_port(t.name, mo.is_write ? memalloc::LogicalPort::D
+                                        : memalloc::LogicalPort::C);
+  if (!c.ports.event_driven) {
+    mo.stage = Stage::Request;
+    return;
+  }
+  int entry = -1;
+  for (std::size_t e = 0; e < c.entries.size() && entry < 0; ++e) {
+    if (c.entries[e].id == mo.dep->id) entry = static_cast<int>(e);
+  }
+  mo.target_slot =
+      memorg::find_slot(c.schedule, entry, mo.is_write, mo.pseudo_port);
+  mo.stage = Stage::EvWaitSlot;
+}
+
+void drive_mem_op(ThreadExecT& t, SystemSim::MemOp& mo) {
+  using Stage = SystemSim::MemOp::Stage;
   SystemSim::Controller& c = *mo.ctrl;
   rtl::ModuleSim& sim = *c.sim;
+  const memorg::ControllerPorts& ports = c.ports;
   switch (mo.stage) {
-    case ThreadExecT::MemOp::Stage::PortA:
+    case Stage::PortA:
       if (c.claim_port_a(t.name)) {
-        sim.set_input("a_en", 1);
-        sim.set_input("a_we", mo.is_write ? 1 : 0);
-        sim.set_input("a_addr", mo.addr);
-        if (mo.is_write) sim.set_input("a_wdata", mo.wdata);
+        sim.set_input(ports.a.en, 1);
+        sim.set_input(ports.a.we, mo.is_write ? 1 : 0);
+        sim.set_input(ports.a.addr, mo.addr);
+        if (mo.is_write) sim.set_input(ports.a.wdata, mo.wdata);
       }
       break;
-    case ThreadExecT::MemOp::Stage::Request: {
+    case Stage::EvWaitSlot:
+      // Request only in our slot. The slot is a register: reading it
+      // before settle is safe.
+      if (static_cast<int>(sim.get(ports.slot)) != mo.target_slot) break;
+      [[fallthrough]];
+    case Stage::Request: {
+      const auto pp = static_cast<std::size_t>(mo.pseudo_port);
       if (mo.is_write) {
-        std::string p = std::to_string(mo.pseudo_port);
-        sim.set_input("d_req" + p, 1);
-        sim.set_input("d_addr" + p, mo.addr);
-        sim.set_input("d_wdata" + p, mo.wdata);
+        const memorg::ProducerNets& p = ports.producers[pp];
+        sim.set_input(p.req, 1);
+        sim.set_input(p.addr, mo.addr);
+        sim.set_input(p.wdata, mo.wdata);
       } else {
-        std::string p = std::to_string(mo.pseudo_port);
-        sim.set_input("c_req" + p, 1);
-        sim.set_input("c_addr" + p, mo.addr);
+        const memorg::ConsumerNets& cn = ports.consumers[pp];
+        sim.set_input(cn.req, 1);
+        sim.set_input(cn.addr, mo.addr);
       }
       break;
     }
-    case ThreadExecT::MemOp::Stage::EvWaitSlot: {
-      // Slot is a register: reading it before settle is safe.
-      std::uint64_t slot = sim.get("slot");
-      if (static_cast<int>(slot) == mo.target_slot) {
-        std::string p = std::to_string(mo.pseudo_port);
-        if (mo.is_write) {
-          sim.set_input("p_req" + p, 1);
-          sim.set_input("p_addr" + p, mo.addr);
-          sim.set_input("p_wdata" + p, mo.wdata);
-        } else {
-          sim.set_input("c_req" + p, 1);
-          sim.set_input("c_addr" + p, mo.addr);
-        }
-      }
-      break;
-    }
-    case ThreadExecT::MemOp::Stage::PortA_Data:
-    case ThreadExecT::MemOp::Stage::WaitValid:
-    case ThreadExecT::MemOp::Stage::Idle:
-    case ThreadExecT::MemOp::Stage::Done:
+    case Stage::PortA_Data:
+    case Stage::WaitValid:
+    case Stage::Idle:
+    case Stage::Done:
       break;
   }
 }
@@ -650,121 +635,197 @@ void drive_mem_op(ThreadExecT& t, ThreadExecT::MemOp& mo) {
 
 namespace {
 
-/// Checks whether any pseudo-port other than `ours` won the named grant
-/// line this cycle — the ArbitrationLoss / DependencyNotProduced split.
-bool another_port_granted(const rtl::ModuleSim& sim, const char* prefix,
-                          int ours, int count) {
-  for (int k = 0; k < count; ++k) {
-    if (k == ours) continue;
-    if (sim.get(prefix + std::to_string(k)) != 0) return true;
+/// Checks whether any pseudo-port other than `ours` holds its grant this
+/// cycle — the ArbitrationLoss / DependencyNotProduced split.
+template <typename Nets>
+bool another_port_granted(const rtl::ModuleSim& sim,
+                          const std::vector<Nets>& ports, int ours) {
+  for (std::size_t k = 0; k < ports.size(); ++k) {
+    if (static_cast<int>(k) != ours && sim.get(ports[k].grant) != 0) {
+      return true;
+    }
   }
   return false;
 }
 
-// `on_access(t, mo, granted, cause)` is invoked for every cycle the op
-// occupies (or waits for) its port: exactly one of granted/stalled per
-// cycle. The data-valid cycle of a consumer read reports through
-// `record_consume` instead.
-template <typename OnProduce, typename OnConsume, typename OpenRound,
-          typename OnAccess>
-void observe_mem_op(SystemSim::ThreadExec& t, SystemSim::ThreadExec::MemOp& mo,
-                    OnProduce&& record_produce, OnConsume&& record_consume,
-                    OpenRound&& open_round_of, OnAccess&& on_access) {
+}  // namespace
+
+// Called for every cycle the op occupies (or waits for) its port: exactly
+// one of granted/stalled per cycle. The data-valid cycle of a consumer read
+// reports through record_consume instead.
+void SystemSim::observe_mem_op(ThreadExec& t, MemOp& mo) {
   using StallCause = trace::StallCause;
-  SystemSim::Controller& c = *mo.ctrl;
-  rtl::ModuleSim& sim = *c.sim;
+  using Stage = MemOp::Stage;
+  Controller& c = *mo.ctrl;
+  const rtl::ModuleSim& sim = *c.sim;
+  const memorg::ControllerPorts& ports = c.ports;
   switch (mo.stage) {
-    case ThreadExec::MemOp::Stage::PortA:
+    case Stage::PortA:
       if (c.a_owner == t.name) {
         on_access(t, mo, true, StallCause::None);
-        if (mo.is_write) {
-          mo.stage = ThreadExec::MemOp::Stage::Done;  // commits on this edge
-        } else {
-          mo.stage = ThreadExec::MemOp::Stage::PortA_Data;
-        }
+        // A write commits on this edge; read data arrives next cycle.
+        mo.stage = mo.is_write ? Stage::Done : Stage::PortA_Data;
       } else {
         on_access(t, mo, false, StallCause::PortABusy);
       }
       break;
-    case ThreadExec::MemOp::Stage::PortA_Data:
+    case Stage::PortA_Data:
       // The read issued last cycle; a_rdata now holds the value.
-      mo.result = sim.get("a_rdata");
-      mo.stage = ThreadExec::MemOp::Stage::Done;
+      mo.result = sim.get(ports.a.rdata);
+      mo.stage = Stage::Done;
       break;
-    case ThreadExec::MemOp::Stage::Request: {
-      std::string p = std::to_string(mo.pseudo_port);
-      if (mo.is_write) {
-        if (sim.get("d_grant" + p) != 0) {
-          on_access(t, mo, true, StallCause::None);
-          record_produce(t, mo);
-          mo.stage = SystemSim::ThreadExec::MemOp::Stage::Done;
-        } else {
-          on_access(t, mo, false,
-                    another_port_granted(sim, "d_grant", mo.pseudo_port,
-                                         c.plan->producer_pseudo_ports())
-                        ? StallCause::ArbitrationLoss
-                        : StallCause::DependencyNotProduced);
-        }
-      } else {
-        if (sim.get("c_grant" + p) != 0) {
-          on_access(t, mo, true, StallCause::None);
-          mo.round = open_round_of(mo);
-          mo.stage = SystemSim::ThreadExec::MemOp::Stage::WaitValid;
-        } else {
-          on_access(t, mo, false,
-                    another_port_granted(sim, "c_grant", mo.pseudo_port,
-                                         c.plan->consumer_pseudo_ports())
-                        ? StallCause::ArbitrationLoss
-                        : StallCause::DependencyNotProduced);
-        }
-      }
-      break;
-    }
-    case SystemSim::ThreadExec::MemOp::Stage::EvWaitSlot: {
-      std::uint64_t slot = sim.get("slot");
-      if (static_cast<int>(slot) != mo.target_slot) {
+    case Stage::Request:
+    case Stage::EvWaitSlot: {
+      const bool scheduled = mo.stage == Stage::EvWaitSlot;
+      if (scheduled &&
+          static_cast<int>(sim.get(ports.slot)) != mo.target_slot) {
         on_access(t, mo, false, StallCause::NotOurSlot);
         break;
       }
-      std::string p = std::to_string(mo.pseudo_port);
+      const auto pp = static_cast<std::size_t>(mo.pseudo_port);
+      const bool granted =
+          mo.is_write ? sim.get(ports.producers[pp].grant) != 0
+                      : ports.read_accepted(sim, mo.pseudo_port);
+      if (!granted) {
+        // The schedule has no arbitration to lose.
+        const bool lost =
+            !scheduled &&
+            (mo.is_write
+                 ? another_port_granted(sim, ports.producers, mo.pseudo_port)
+                 : another_port_granted(sim, ports.consumers, mo.pseudo_port));
+        on_access(t, mo, false,
+                  lost ? StallCause::ArbitrationLoss
+                       : StallCause::DependencyNotProduced);
+        break;
+      }
+      on_access(t, mo, true, StallCause::None);
       if (mo.is_write) {
-        if (sim.get("p_grant" + p) != 0) {
-          on_access(t, mo, true, StallCause::None);
-          record_produce(t, mo);
-          mo.stage = SystemSim::ThreadExec::MemOp::Stage::Done;
-        } else {
-          on_access(t, mo, false, StallCause::DependencyNotProduced);
-        }
+        record_produce(t, mo);
+        mo.stage = Stage::Done;
       } else {
-        // Our slot fires this edge iff our request was up.
-        if (sim.get("c_req" + p) != 0) {
-          on_access(t, mo, true, StallCause::None);
-          mo.round = open_round_of(mo);
-          mo.stage = SystemSim::ThreadExec::MemOp::Stage::WaitValid;
-        } else {
-          on_access(t, mo, false, StallCause::DependencyNotProduced);
-        }
+        auto it = mo.dep != nullptr ? open_round_.find(mo.dep->id)
+                                    : open_round_.end();
+        mo.round = it == open_round_.end() ? static_cast<std::size_t>(-1)
+                                           : it->second;
+        mo.stage = Stage::WaitValid;
       }
       break;
     }
-    case SystemSim::ThreadExec::MemOp::Stage::WaitValid: {
-      std::string p = std::to_string(mo.pseudo_port);
-      if (sim.get("c_valid" + p) != 0) {
-        mo.result = sim.get("bus_rdata");
+    case Stage::WaitValid: {
+      const auto pp = static_cast<std::size_t>(mo.pseudo_port);
+      if (sim.get(ports.consumers[pp].valid) != 0) {
+        mo.result = sim.get(ports.bus_rdata);
         record_consume(t, mo);
-        mo.stage = SystemSim::ThreadExec::MemOp::Stage::Done;
+        mo.stage = Stage::Done;
       } else {
         on_access(t, mo, false, StallCause::DataWait);
       }
       break;
     }
-    case SystemSim::ThreadExec::MemOp::Stage::Idle:
-    case SystemSim::ThreadExec::MemOp::Stage::Done:
+    case Stage::Idle:
+    case Stage::Done:
       break;
   }
 }
 
-}  // namespace
+void SystemSim::thread_event(const ThreadExec& t, trace::EventKind kind,
+                             std::int64_t value) {
+  if (!tracing()) return;
+  trace::Event e;
+  e.cycle = cycle_;
+  e.kind = kind;
+  e.thread = t.name;
+  e.value = value;
+  trace_->emit(e);
+}
+
+trace::Event SystemSim::mem_event(const ThreadExec& t,
+                                  const MemOp& mo) const {
+  trace::Event e;
+  e.cycle = cycle_;
+  e.controller = mo.ctrl->bram_id;
+  switch (mo.role) {
+    case synth::AccessRole::ConsumerRead: e.port = trace::PortKind::C; break;
+    case synth::AccessRole::ProducerWrite: e.port = trace::PortKind::D; break;
+    case synth::AccessRole::Plain: e.port = trace::PortKind::A; break;
+  }
+  e.pseudo_port = mo.pseudo_port;
+  e.thread = t.name;
+  if (mo.dep != nullptr) e.dep = mo.dep->id;
+  return e;
+}
+
+void SystemSim::on_access(ThreadExec& t, MemOp& mo, bool granted,
+                          trace::StallCause cause) {
+  if (granted) {
+    mo.wait_cycles = 0;
+  } else {
+    ++mo.wait_cycles;
+  }
+  if (!tracing()) return;
+  trace::Event e = mem_event(t, mo);
+  e.kind = trace::EventKind::PortRequest;
+  trace_->emit(e);
+  if (granted) {
+    e.kind = trace::EventKind::PortGrant;
+    trace_->emit(e);
+    if (t.trace_blocked) {
+      e.kind = trace::EventKind::ThreadUnblock;
+      trace_->emit(e);
+      t.trace_blocked = false;
+    }
+  } else {
+    e.kind = trace::EventKind::PortStall;
+    e.cause = cause;
+    trace_->emit(e);
+    if (!t.trace_blocked) {
+      e.kind = trace::EventKind::ThreadBlock;
+      e.cause = trace::StallCause::None;
+      trace_->emit(e);
+      t.trace_blocked = true;
+    }
+  }
+}
+
+void SystemSim::record_produce(const ThreadExec& t, const MemOp& mo) {
+  if (mo.dep == nullptr) return;
+  DepRound round;
+  round.dep_id = mo.dep->id;
+  round.produce_grant_cycle = cycle_;
+  open_round_[mo.dep->id] = rounds_.size();
+  rounds_.push_back(std::move(round));
+  if (tracing()) {
+    trace::Event e = mem_event(t, mo);
+    e.kind = trace::EventKind::Produce;
+    trace_->emit(e);
+  }
+}
+
+void SystemSim::record_consume(ThreadExec& t, MemOp& mo) {
+  const bool traced = tracing();
+  if (traced && t.trace_blocked) {
+    trace::Event e = mem_event(t, mo);
+    e.kind = trace::EventKind::ThreadUnblock;
+    trace_->emit(e);
+    t.trace_blocked = false;
+  }
+  mo.wait_cycles = 0;
+  if (mo.dep == nullptr) return;
+  if (traced) {
+    trace::Event e = mem_event(t, mo);
+    e.kind = trace::EventKind::Consume;
+    trace_->emit(e);
+  }
+  if (mo.round >= rounds_.size()) return;
+  DepRound& round = rounds_[mo.round];
+  round.consume_cycles.emplace_back(t.name, cycle_);
+  if (traced && round.consume_cycles.size() == mo.dep->consumers.size()) {
+    trace::Event e = mem_event(t, mo);
+    e.kind = trace::EventKind::RoundComplete;
+    e.value = static_cast<std::int64_t>(round.completion_latency());
+    trace_->emit(e);
+  }
+}
 
 void SystemSim::drive_phase() {
   for (auto& tp : threads_) {
@@ -775,14 +836,7 @@ void SystemSim::drive_phase() {
       if (t.gate && t.gate(cycle_)) {
         t.state = t.fsm.initial();
         t.mode = ThreadExec::Mode::Plan;
-        if (trace_ != nullptr && trace_->active()) {
-          trace::Event e;
-          e.cycle = cycle_;
-          e.kind = trace::EventKind::FsmState;
-          e.thread = t.name;
-          e.value = t.state;
-          trace_->emit(e);
-        }
+        thread_event(t, trace::EventKind::FsmState, t.state);
       } else {
         continue;
       }
@@ -792,14 +846,7 @@ void SystemSim::drive_phase() {
       const synth::FsmState& s = t.fsm.state(t.state);
       if (s.kind == synth::StateKind::Done) {
         ++t.passes;
-        if (trace_ != nullptr && trace_->active()) {
-          trace::Event e;
-          e.cycle = cycle_;
-          e.kind = trace::EventKind::PassComplete;
-          e.thread = t.name;
-          e.value = t.passes;
-          trace_->emit(e);
-        }
+        thread_event(t, trace::EventKind::PassComplete, t.passes);
         t.mode = ThreadExec::Mode::Gated;
         continue;
       }
@@ -860,21 +907,6 @@ void SystemSim::drive_phase() {
     ThreadExec::StmtPlan& p = t.plan[t.plan_index];
 
     // --- Prepare the in-flight memory op, if a new one is needed. ---
-    auto locate = [&](const hic::Symbol* sym) {
-      auto loc = map_.locate(sym);
-      if (loc.bram == nullptr) {
-        throw std::runtime_error("sim: symbol not in memory map: " +
-                                 sym->qualified_name());
-      }
-      return loc;
-    };
-    auto controller_of = [&](int bram_id) -> Controller* {
-      for (auto& c : controllers_) {
-        if (c->bram_id == bram_id) return c.get();
-      }
-      throw std::runtime_error("sim: no controller for bram");
-    };
-
     auto element_addr = [&](const hic::Expr& e,
                             const memalloc::MemoryMap::Location& loc)
         -> std::uint64_t {
@@ -893,6 +925,29 @@ void SystemSim::drive_phase() {
         return base + (idx % elems) * words_per_elem;
       }
       return base;
+    };
+    // Puts a new access of `sym` (element `e`) on its controller port.
+    auto start_access = [&](MemOp& mo, const hic::Expr& e,
+                            const hic::Symbol* sym, bool is_write) {
+      auto loc = map_.locate(sym);
+      if (loc.bram == nullptr) {
+        throw std::runtime_error("sim: symbol not in memory map: " +
+                                 sym->qualified_name());
+      }
+      mo.ctrl = nullptr;
+      for (auto it = controllers_.begin();
+           mo.ctrl == nullptr && it != controllers_.end(); ++it) {
+        if ((*it)->bram_id == loc.bram->id) mo.ctrl = it->get();
+      }
+      if (mo.ctrl == nullptr) {
+        throw std::runtime_error("sim: no controller for bram");
+      }
+      mo.is_write = is_write;
+      mo.addr = element_addr(e, loc);
+      const synth::StateAccess* acc = find_access(s, sym, is_write);
+      mo.role = acc != nullptr ? acc->role : synth::AccessRole::Plain;
+      mo.dep = acc != nullptr ? acc->dep : nullptr;
+      start_mem_op(t, mo);
     };
 
     if (t.mode == ThreadExec::Mode::Fetch) {
@@ -922,17 +977,8 @@ void SystemSim::drive_phase() {
           }
           hic::Symbol* sym = root->symbol;
           if (sym != nullptr && memalloc::is_memory_resident(*sym)) {
-            auto loc = locate(sym);
-            p.write.ctrl = controller_of(loc.bram->id);
-            p.write.is_write = true;
-            p.write.addr = element_addr(*target, loc);
-            p.write.wdata =
-                mask_width(p.computed, sym->type()->bit_width());
-            const synth::StateAccess* acc = find_access(s, sym, true);
-            p.write.role = acc != nullptr ? acc->role
-                                          : synth::AccessRole::Plain;
-            p.write.dep = acc != nullptr ? acc->dep : nullptr;
-            p.write.stage = ThreadExec::MemOp::Stage::Idle;
+            p.write.wdata = mask_width(p.computed, sym->type()->bit_width());
+            start_access(p.write, *target, sym, true);
             t.mode = ThreadExec::Mode::Write;
           } else {
             // Register write completes instantly.
@@ -948,182 +994,27 @@ void SystemSim::drive_phase() {
         ThreadExec::StmtPlan::Operand& op = p.operands[t.operand_index];
         ThreadExec::MemOp& mo = op.op;
         if (mo.stage == ThreadExec::MemOp::Stage::Idle) {
-          auto loc = locate(op.expr->symbol);
-          mo.ctrl = controller_of(loc.bram->id);
-          mo.is_write = false;
-          mo.addr = element_addr(*op.expr, loc);
-          const synth::StateAccess* acc =
-              find_access(s, op.expr->symbol, false);
-          mo.role = acc != nullptr ? acc->role : synth::AccessRole::Plain;
-          mo.dep = acc != nullptr ? acc->dep : nullptr;
-          if (mo.role == synth::AccessRole::ConsumerRead) {
-            mo.pseudo_port =
-                mo.ctrl->pseudo_port(t.name, memalloc::LogicalPort::C);
-            if (mo.ctrl->kind == OrgKind::EventDriven) {
-              mo.target_slot =
-                  mo.ctrl->slot_of(mo.dep->id, false, mo.pseudo_port);
-              mo.stage = ThreadExec::MemOp::Stage::EvWaitSlot;
-            } else {
-              mo.stage = ThreadExec::MemOp::Stage::Request;
-            }
-          } else {
-            mo.stage = ThreadExec::MemOp::Stage::PortA;
-          }
+          start_access(mo, *op.expr, op.expr->symbol, false);
         }
         drive_mem_op(t, mo);
       }
     }
 
-    if (t.mode == ThreadExec::Mode::Write) {
-      ThreadExec::MemOp& mo = p.write;
-      if (mo.stage == ThreadExec::MemOp::Stage::Idle) {
-        if (mo.role == synth::AccessRole::ProducerWrite) {
-          mo.pseudo_port =
-              mo.ctrl->pseudo_port(t.name, memalloc::LogicalPort::D);
-          if (mo.ctrl->kind == OrgKind::EventDriven) {
-            mo.target_slot = mo.ctrl->slot_of(mo.dep->id, true,
-                                              mo.pseudo_port);
-            mo.stage = ThreadExec::MemOp::Stage::EvWaitSlot;
-          } else {
-            mo.stage = ThreadExec::MemOp::Stage::Request;
-          }
-        } else {
-          mo.stage = ThreadExec::MemOp::Stage::PortA;
-        }
-      }
-      drive_mem_op(t, mo);
-    }
+    if (t.mode == ThreadExec::Mode::Write) drive_mem_op(t, p.write);
   }
 }
 void SystemSim::observe_phase() {
   for (auto& tp : threads_) {
     ThreadExec& t = *tp;
-    if (t.mode != ThreadExec::Mode::Fetch &&
-        t.mode != ThreadExec::Mode::Write &&
-        t.mode != ThreadExec::Mode::Advance) {
-      continue;
-    }
-
-    if (t.mode == ThreadExec::Mode::Fetch ||
-        t.mode == ThreadExec::Mode::Write) {
-      ThreadExec::StmtPlan& p = t.plan[t.plan_index];
-      ThreadExec::MemOp* mo = nullptr;
-      if (t.mode == ThreadExec::Mode::Fetch &&
-          t.operand_index < p.operands.size()) {
-        mo = &p.operands[t.operand_index].op;
-      } else if (t.mode == ThreadExec::Mode::Write) {
-        mo = &p.write;
-      }
-      if (mo != nullptr && mo->ctrl != nullptr) {
-        const bool tracing = trace_ != nullptr && trace_->active();
-        auto port_kind_of = [](const ThreadExec::MemOp& m2) {
-          switch (m2.role) {
-            case synth::AccessRole::ConsumerRead: return trace::PortKind::C;
-            case synth::AccessRole::ProducerWrite: return trace::PortKind::D;
-            case synth::AccessRole::Plain: break;
-          }
-          return trace::PortKind::A;
-        };
-        auto base_event = [&](const ThreadExec& te,
-                              const ThreadExec::MemOp& m2) {
-          trace::Event e;
-          e.cycle = cycle_;
-          e.controller = m2.ctrl->bram_id;
-          e.port = port_kind_of(m2);
-          e.pseudo_port = m2.pseudo_port;
-          e.thread = te.name;
-          if (m2.dep != nullptr) e.dep = m2.dep->id;
-          return e;
-        };
-        observe_mem_op(
-            t, *mo,
-            [this, tracing, &base_event](ThreadExec& te,
-                                         ThreadExec::MemOp& m2) {
-              if (m2.dep == nullptr) return;
-              DepRound round;
-              round.dep_id = m2.dep->id;
-              round.produce_grant_cycle = cycle_;
-              open_round_[m2.dep->id] = rounds_.size();
-              rounds_.push_back(std::move(round));
-              if (tracing) {
-                trace::Event e = base_event(te, m2);
-                e.kind = trace::EventKind::Produce;
-                trace_->emit(e);
-              }
-            },
-            [this, tracing, &base_event](ThreadExec& te,
-                                         ThreadExec::MemOp& m2) {
-              if (tracing && te.trace_blocked) {
-                trace::Event e = base_event(te, m2);
-                e.kind = trace::EventKind::ThreadUnblock;
-                trace_->emit(e);
-                te.trace_blocked = false;
-              }
-              m2.wait_cycles = 0;
-              if (m2.dep == nullptr) return;
-              if (tracing) {
-                trace::Event e = base_event(te, m2);
-                e.kind = trace::EventKind::Consume;
-                trace_->emit(e);
-              }
-              if (m2.round >= rounds_.size()) return;
-              rounds_[m2.round].consume_cycles.emplace_back(te.name, cycle_);
-              if (tracing && rounds_[m2.round].consume_cycles.size() ==
-                                 m2.dep->consumers.size()) {
-                trace::Event e = base_event(te, m2);
-                e.kind = trace::EventKind::RoundComplete;
-                e.value = static_cast<std::int64_t>(
-                    rounds_[m2.round].completion_latency());
-                trace_->emit(e);
-              }
-            },
-            [this](ThreadExec::MemOp& m2) -> std::size_t {
-              if (m2.dep == nullptr) return static_cast<std::size_t>(-1);
-              auto it = open_round_.find(m2.dep->id);
-              return it == open_round_.end() ? static_cast<std::size_t>(-1)
-                                             : it->second;
-            },
-            [this, tracing, &base_event](ThreadExec& te,
-                                         ThreadExec::MemOp& m2, bool granted,
-                                         trace::StallCause cause) {
-              if (granted) {
-                m2.wait_cycles = 0;
-              } else {
-                ++m2.wait_cycles;
-              }
-              if (!tracing) return;
-              trace::Event e = base_event(te, m2);
-              e.kind = trace::EventKind::PortRequest;
-              trace_->emit(e);
-              if (granted) {
-                e.kind = trace::EventKind::PortGrant;
-                trace_->emit(e);
-                if (te.trace_blocked) {
-                  e.kind = trace::EventKind::ThreadUnblock;
-                  trace_->emit(e);
-                  te.trace_blocked = false;
-                }
-              } else {
-                e.kind = trace::EventKind::PortStall;
-                e.cause = cause;
-                trace_->emit(e);
-                if (!te.trace_blocked) {
-                  e.kind = trace::EventKind::ThreadBlock;
-                  e.cause = trace::StallCause::None;
-                  trace_->emit(e);
-                  te.trace_blocked = true;
-                }
-              }
-            });
-        if (mo->stage == ThreadExec::MemOp::Stage::Done) {
-          if (t.mode == ThreadExec::Mode::Fetch) {
-            p.operands[t.operand_index].fetched = true;
-            mo->ctrl->release_port_a(t.name);
-            // Fetch loop continues next cycle (or computes next drive).
-          } else {
-            mo->ctrl->release_port_a(t.name);
-            t.mode = ThreadExec::Mode::Advance;
-          }
+    if (MemOp* mo = t.current_op(); mo != nullptr && mo->ctrl != nullptr) {
+      observe_mem_op(t, *mo);
+      if (mo->stage == MemOp::Stage::Done) {
+        mo->ctrl->release_port_a(t.name);
+        if (t.mode == ThreadExec::Mode::Fetch) {
+          // The fetch loop continues next cycle (or computes next drive).
+          t.plan[t.plan_index].operands[t.operand_index].fetched = true;
+        } else {
+          t.mode = ThreadExec::Mode::Advance;
         }
       }
     }
@@ -1165,14 +1056,7 @@ void SystemSim::observe_phase() {
           next = t.state;
           break;
       }
-      if (trace_ != nullptr && trace_->active() && next != t.state) {
-        trace::Event e;
-        e.cycle = cycle_;
-        e.kind = trace::EventKind::FsmState;
-        e.thread = t.name;
-        e.value = next;
-        trace_->emit(e);
-      }
+      if (next != t.state) thread_event(t, trace::EventKind::FsmState, next);
       t.state = next;
       t.mode = ThreadExec::Mode::Plan;
     }

@@ -135,12 +135,28 @@ class SystemSim {
   // Implementation types, defined in system.cpp (opaque to users; public so
   // file-local helpers can name them).
   struct ThreadExec;
+  struct MemOp;
   struct Controller;
 
  private:
   [[nodiscard]] ThreadExec* find_thread(const std::string& name) const;
   void drive_phase();
   void observe_phase();
+  // observe_phase for the thread's in-flight memory operation, and the
+  // bookkeeping it does: a port cycle granted or stalled, a produce opening
+  // a round, a consumer's read data arriving.
+  void observe_mem_op(ThreadExec& t, MemOp& mo);
+  void on_access(ThreadExec& t, MemOp& mo, bool granted,
+                 trace::StallCause cause);
+  void record_produce(const ThreadExec& t, const MemOp& mo);
+  void record_consume(ThreadExec& t, MemOp& mo);
+  void thread_event(const ThreadExec& t, trace::EventKind kind,
+                    std::int64_t value);
+  [[nodiscard]] trace::Event mem_event(const ThreadExec& t,
+                                       const MemOp& mo) const;
+  [[nodiscard]] bool tracing() const {
+    return trace_ != nullptr && trace_->active();
+  }
 
   const hic::Program& program_;
   const hic::Sema& sema_;
