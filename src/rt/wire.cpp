@@ -221,19 +221,26 @@ RemoteServer::~RemoteServer() { stop(); }
 
 namespace {
 
-/// Reads up to the next '\n' using `inbuf` as carry-over. False on EOF or
-/// error with nothing buffered.
-bool read_line(int fd, std::string* inbuf, std::string* line) {
+enum class LineRead { Line, Closed, TooLong };
+
+/// Reads up to the next '\n' using `inbuf` as carry-over. Closed on EOF or
+/// error; TooLong once the line exceeds `max_bytes`.
+LineRead read_line(int fd, std::string* inbuf, std::string* line,
+                   std::size_t max_bytes) {
+  std::size_t scanned = 0;
   for (;;) {
-    std::size_t nl = inbuf->find('\n');
+    std::size_t nl = inbuf->find('\n', scanned);
     if (nl != std::string::npos) {
+      if (nl > max_bytes) return LineRead::TooLong;
       *line = inbuf->substr(0, nl);
       inbuf->erase(0, nl + 1);
-      return true;
+      return LineRead::Line;
     }
+    if (inbuf->size() > max_bytes) return LineRead::TooLong;
+    scanned = inbuf->size();
     char chunk[4096];
     ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n <= 0) return false;
+    if (n <= 0) return LineRead::Closed;
     inbuf->append(chunk, static_cast<std::size_t>(n));
   }
 }
@@ -304,7 +311,14 @@ void RemoteServer::accept_loop() {
 void RemoteServer::serve_connection(int fd) {
   std::string inbuf;
   std::string line;
-  while (running_.load() && read_line(fd, &inbuf, &line)) {
+  while (running_.load()) {
+    const LineRead got = read_line(fd, &inbuf, &line, kMaxLineBytes);
+    if (got == LineRead::TooLong) {
+      const std::string resp = error_line(support::format(
+          "rt-bad-request: line longer than %zu bytes", kMaxLineBytes));
+      (void)write_all(fd, resp + '\n');
+    }
+    if (got != LineRead::Line) break;
     if (support::trim(line).empty()) continue;
     std::string resp = handle_request_line(service_, line);
     resp += '\n';
@@ -401,7 +415,9 @@ bool RemoteClient::call(const std::string& request, std::string* response,
     }
     return false;
   }
-  if (!read_line(fd_, &inbuf_, response)) {
+  // Responses come from the trusted server: their length is not capped.
+  if (read_line(fd_, &inbuf_, response, std::string::npos) !=
+      LineRead::Line) {
     if (error != nullptr) {
       *error = "rt-socket-error: connection closed before response";
     }

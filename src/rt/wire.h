@@ -29,6 +29,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -41,6 +42,12 @@
 #include "rt/service.h"
 
 namespace hicsync::rt {
+
+/// Longest request line the socket server buffers, newline excluded. A
+/// longer line is answered with `rt-bad-request: line longer than N bytes`
+/// and its connection is closed, so one client cannot exhaust the server's
+/// memory. Committed requests are under 1 KiB.
+inline constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
 
 /// Executes one protocol line against `service` and returns the response
 /// line (no trailing newline). Synchronous: command ops wait for their

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -17,6 +18,12 @@
 #include "netapp/scenarios.h"
 #include "support/json.h"
 #include "support/strings.h"
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
+#endif
 
 namespace hicsync::rt {
 namespace {
@@ -319,6 +326,51 @@ TEST(RemoteWire, ClientErrorsSurfaceServiceCodes) {
   EXPECT_FALSE(client.consume(session, {}, &registers, &error));
   EXPECT_EQ(error.rfind("rt-no-run:", 0), 0u) << error;
 
+  server.stop();
+  service.shutdown();
+}
+
+TEST(RemoteWire, OverlongLinesAreRejectedAndTheServerKeepsServing) {
+  Service service(load_fig1(), {});
+  const std::string path = ::testing::TempDir() + "wire_long_test.sock";
+  std::remove(path.c_str());
+  RemoteServer server(service, path);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  // A raw client sends kMaxLineBytes + 1 bytes and never a newline.
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  // Fail rather than hang if the server waits for the newline.
+  timeval timeout{10, 0};
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+  const std::string flood(kMaxLineBytes + 1, 'x');
+  for (std::size_t off = 0; off < flood.size();) {
+    const ssize_t n = ::write(fd, flood.data() + off, flood.size() - off);
+    ASSERT_GT(n, 0);
+    off += static_cast<std::size_t>(n);
+  }
+  std::string reply;
+  char c = 0;
+  while (::read(fd, &c, 1) == 1 && c != '\n') reply += c;
+  EXPECT_EQ(::read(fd, &c, 1), 0) << "the connection must be closed";
+  ::close(fd);
+  const support::JsonValue v = parse(reply);
+  EXPECT_FALSE(ok_of(v));
+  EXPECT_EQ(error_of(v), "rt-bad-request: line longer than 1048576 bytes");
+
+  // The server still serves a new connection.
+  RemoteClient client;
+  ASSERT_TRUE(client.connect(path, &error)) << error;
+  EXPECT_TRUE(client.ping(&error)) << error;
+  client.close();
   server.stop();
   service.shutdown();
 }
