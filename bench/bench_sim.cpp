@@ -52,6 +52,7 @@ static void BM_ModuleSimSettleStep(benchmark::State& state) {
   rtl::ModuleSim sim(m);
   sim.reset();
   for (auto _ : state) {
+    sim.settle();
     sim.step();
   }
   state.SetItemsProcessed(state.iterations());

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 #include <stdexcept>
 
 #include "memalloc/bram.h"
@@ -29,44 +28,8 @@ class Blaster {
   }
 
   void run() {
-    // Topologically order continuous assigns (same approach as ModuleSim).
     const auto& assigns = m_.assigns();
-    std::map<int, int> driver_of;
-    for (std::size_t i = 0; i < assigns.size(); ++i) {
-      driver_of[assigns[i].target] = static_cast<int>(i);
-    }
-    std::vector<int> indegree(assigns.size(), 0);
-    std::vector<std::vector<int>> dependents(assigns.size());
-    for (std::size_t i = 0; i < assigns.size(); ++i) {
-      std::set<int> refs;
-      collect_refs(*assigns[i].value, refs);
-      for (int r : refs) {
-        auto it = driver_of.find(r);
-        if (it != driver_of.end()) {
-          dependents[static_cast<std::size_t>(it->second)].push_back(
-              static_cast<int>(i));
-          ++indegree[i];
-        }
-      }
-    }
-    std::vector<int> ready;
-    for (std::size_t i = 0; i < assigns.size(); ++i) {
-      if (indegree[i] == 0) ready.push_back(static_cast<int>(i));
-    }
-    std::vector<int> order;
-    while (!ready.empty()) {
-      int i = ready.back();
-      ready.pop_back();
-      order.push_back(i);
-      for (int d : dependents[static_cast<std::size_t>(i)]) {
-        if (--indegree[static_cast<std::size_t>(d)] == 0) ready.push_back(d);
-      }
-    }
-    if (order.size() != assigns.size()) {
-      throw std::runtime_error("techmap: combinational cycle in " +
-                               m_.name());
-    }
-    for (int i : order) {
+    for (int i : rtl::assign_order(m_, "techmap")) {
       const rtl::ContAssign& a = assigns[static_cast<std::size_t>(i)];
       std::vector<int> bits = blast(*a.value);
       bits.resize(static_cast<std::size_t>(m_.net(a.target).width), const0_);
@@ -190,11 +153,6 @@ class Blaster {
   }
 
  private:
-  static void collect_refs(const rtl::RtlExpr& e, std::set<int>& refs) {
-    if (e.op == rtl::RtlOp::Ref) refs.insert(e.net);
-    for (const auto& a : e.args) collect_refs(*a, refs);
-  }
-
   int add_node(NodeKind kind, std::vector<int> fanins = {}) {
     for (int f : fanins) ++nodes_[static_cast<std::size_t>(f)].fanout;
     Node n;

@@ -203,6 +203,11 @@ std::future<CommandResult> Service::submit(std::unique_ptr<Work> work) {
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     work->sequence = shard.next_sequence[work->session]++;
+    // Close is a session's last command: its counter goes with it, so the
+    // table holds only sessions that are still open.
+    if (work->kind == CommandKind::Close) {
+      shard.next_sequence.erase(work->session);
+    }
     work->queue_depth = static_cast<std::uint64_t>(shard.queue.size());
     shard.queue.push_back(std::move(work));
     shard.max_queue_depth =
@@ -460,6 +465,7 @@ Service::Stats Service::stats() const {
     ss.sim_cycles = shard->sim_cycles;
     ss.max_queue_depth = shard->max_queue_depth;
     ss.sessions = shard->open_sessions;
+    ss.sequence_counters = shard->next_sequence.size();
     if (const trace::Histogram* h =
             shard->metrics.find_histogram("rt.latency_us")) {
       ss.latency_p50_us = h->percentile(50);

@@ -140,6 +140,9 @@ class Service {
     std::uint64_t sim_cycles = 0;
     std::uint64_t max_queue_depth = 0;
     std::uint64_t sessions = 0;  // currently open on this shard
+    /// Per-session sequence counters held by the shard; a session's is
+    /// freed when its Close is submitted.
+    std::uint64_t sequence_counters = 0;
     /// Completion-latency percentiles (µs) of the shard's rt.latency_us
     /// histogram — zeros until the shard completes its first command.
     std::uint64_t latency_p50_us = 0;

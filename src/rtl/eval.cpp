@@ -1,8 +1,10 @@
 #include "rtl/eval.h"
 
 #include <algorithm>
+#include <bit>
 #include <set>
 #include <stdexcept>
+#include <unordered_map>
 
 namespace hicsync::rtl {
 
@@ -64,7 +66,201 @@ void check_undriven_reads(const Module& module) {
   }
 }
 
+int bit_length(std::uint64_t v) { return static_cast<int>(std::bit_width(v)); }
+
 }  // namespace
+
+/// Lowers a module's expression trees onto ModuleSim's tapes. Every lowered
+/// value is an Operand: its slot and an upper bound on its significant
+/// bits, which lets a Concat part skip its mask when it already fits.
+class TapeBuilder {
+ public:
+  using Code = ModuleSim::Code;
+  using Instr = ModuleSim::Instr;
+
+  explicit TapeBuilder(ModuleSim& sim)
+      : sim_(sim), nets_(static_cast<std::uint32_t>(sim.values_.size())) {
+    const Module& m = sim.module_;
+    // Register and memory-read commits are not always narrowed to the
+    // net's width (an unmasked reset value, a wider memory word).
+    net_bits_.reserve(m.nets().size());
+    for (const Net& n : m.nets()) net_bits_.push_back(n.width);
+    for (const SeqAssign& s : m.seqs()) {
+      if (!s.has_reset) continue;
+      int& bits = net_bits_[static_cast<std::size_t>(s.target)];
+      bits = std::max(bits, bit_length(s.reset_value));
+    }
+    for (const Memory& mem : m.memories()) {
+      for (const MemoryPort& p : mem.ports) {
+        if (p.read_data < 0) continue;
+        int& bits = net_bits_[static_cast<std::size_t>(p.read_data)];
+        bits = std::max(bits, mem.width);
+      }
+    }
+  }
+
+  void build() {
+    const Module& m = sim_.module_;
+    const auto& assigns = m.assigns();
+    sim_.comb_.reserve(assigns.size() * 2);
+    for (int i : assign_order(m, "ModuleSim")) {
+      const ContAssign& a = assigns[static_cast<std::size_t>(i)];
+      const Operand v = lower(*a.value, sim_.comb_);
+      const std::uint64_t mask = low_mask(m.net(a.target).width);
+      const auto target = static_cast<std::uint32_t>(a.target);
+      if (v.computed) {
+        // Retarget the root instruction onto the net; free its temporary.
+        sim_.comb_.back().dst = target;
+        sim_.comb_.back().mask &= mask;
+        sim_.values_.pop_back();
+      } else {
+        sim_.comb_.push_back(Instr{Code::Copy, target, v.slot, 0, 0, mask});
+      }
+    }
+
+    std::vector<Instr>& edge = sim_.edge_;
+    for (const SeqAssign& s : m.seqs()) {
+      ModuleSim::RegCommit r;
+      r.target = static_cast<std::uint32_t>(s.target);
+      r.value = edge_root(*s.value, low_mask(m.net(s.target).width), edge);
+      if (s.enable != nullptr) r.enable = edge_root(*s.enable, ~0ULL, edge);
+      r.has_reset = s.has_reset;
+      r.reset_value = s.reset_value;
+      sim_.regs_.push_back(r);
+    }
+    const auto& mems = m.memories();
+    for (std::size_t k = 0; k < mems.size(); ++k) {
+      const std::uint64_t word = low_mask(mems[k].width);
+      for (const MemoryPort& p : mems[k].ports) {
+        ModuleSim::PortCommit c;
+        c.memory = static_cast<std::uint32_t>(k);
+        c.addr = edge_root(*p.addr, ~0ULL, edge);
+        if (p.write_enable != nullptr) {
+          c.write_enable = edge_root(*p.write_enable, ~0ULL, edge);
+          c.write_data = edge_root(*p.write_data, word, edge);
+        }
+        c.read_data = p.read_data;
+        c.mask = word;
+        sim_.ports_.push_back(c);
+      }
+    }
+  }
+
+ private:
+  struct Operand {
+    std::uint32_t slot = 0;
+    int bits = 64;
+    bool computed = false;  // written by the tape's last instruction
+  };
+
+  [[nodiscard]] Operand constant(std::uint64_t value) {
+    auto [it, fresh] = constants_.try_emplace(
+        value, static_cast<std::uint32_t>(sim_.values_.size()));
+    if (fresh) sim_.values_.push_back(value);
+    return Operand{it->second, bit_length(value), false};
+  }
+
+  /// Appends `code` writing a fresh temporary.
+  Operand emit(std::vector<Instr>& tape, Code code, std::uint32_t a,
+               std::uint32_t b, std::uint32_t c, std::uint64_t mask,
+               int bits) {
+    const auto dst = static_cast<std::uint32_t>(sim_.values_.size());
+    sim_.values_.push_back(0);
+    tape.push_back(Instr{code, dst, a, b, c, mask});
+    return Operand{dst, bits, true};
+  }
+
+  /// `v` narrowed to `width` bits, by an instruction only if it may not fit.
+  Operand narrow(std::vector<Instr>& tape, Operand v, int width) {
+    if (width >= 64 || v.bits <= width) return v;
+    return emit(tape, Code::Copy, v.slot, 0, 0, low_mask(width), width);
+  }
+
+  Operand lower(const RtlExpr& e, std::vector<Instr>& tape) {
+    const std::uint64_t mask = low_mask(e.width);
+    const int bits = std::min(e.width, 64);
+    auto arg = [&](std::size_t i) { return lower(*e.args[i], tape).slot; };
+    auto binary = [&](Code code, std::uint64_t m, int b) {
+      const std::uint32_t a0 = arg(0);
+      const std::uint32_t a1 = arg(1);
+      return emit(tape, code, a0, a1, 0, m, b);
+    };
+    switch (e.op) {
+      case RtlOp::Const:
+        return constant(e.value);
+      case RtlOp::Ref:
+        return Operand{static_cast<std::uint32_t>(e.net),
+                       net_bits_[static_cast<std::size_t>(e.net)], false};
+      case RtlOp::Slice: {
+        const int w = e.hi - e.lo + 1;
+        return emit(tape, Code::Slice, arg(0), 0,
+                    static_cast<std::uint32_t>(e.lo), low_mask(w),
+                    std::min(w, 64));
+      }
+      case RtlOp::Concat: {
+        if (e.args.empty()) return constant(0);
+        // Masking the running value to e.width at every step equals
+        // masking it once at the end: the shifts only move bits up.
+        const RtlExpr& head = *e.args[0];
+        Operand acc = narrow(tape, lower(head, tape),
+                             std::min(head.width, e.width));
+        for (std::size_t i = 1; i < e.args.size(); ++i) {
+          const RtlExpr& part = *e.args[i];
+          const Operand p = narrow(tape, lower(part, tape), part.width);
+          acc = emit(tape, Code::Concat, acc.slot, p.slot,
+                     static_cast<std::uint32_t>(part.width), mask, bits);
+        }
+        return acc;
+      }
+      case RtlOp::Not:
+        return emit(tape, Code::Not, arg(0), 0, 0, mask, bits);
+      case RtlOp::And: return binary(Code::And, mask, bits);
+      case RtlOp::Or: return binary(Code::Or, mask, bits);
+      case RtlOp::Xor: return binary(Code::Xor, mask, bits);
+      case RtlOp::Add: return binary(Code::Add, mask, bits);
+      case RtlOp::Sub: return binary(Code::Sub, mask, bits);
+      case RtlOp::Shl: return binary(Code::Shl, mask, bits);
+      case RtlOp::Shr: return binary(Code::Shr, mask, bits);
+      case RtlOp::Eq: return binary(Code::Eq, ~0ULL, 1);
+      case RtlOp::Ne: return binary(Code::Ne, ~0ULL, 1);
+      case RtlOp::Lt: return binary(Code::Lt, ~0ULL, 1);
+      case RtlOp::Le: return binary(Code::Le, ~0ULL, 1);
+      case RtlOp::Mux: {
+        const std::uint32_t sel = arg(0);
+        const std::uint32_t t = arg(1);
+        const std::uint32_t f = arg(2);
+        return emit(tape, Code::Mux, sel, t, f, mask, bits);
+      }
+      case RtlOp::ReduceOr:
+        return emit(tape, Code::ReduceOr, arg(0), 0, 0, ~0ULL, 1);
+      case RtlOp::ReduceAnd: {
+        const std::uint32_t a0 = arg(0);
+        const std::uint32_t all = constant(low_mask(e.args[0]->width)).slot;
+        return emit(tape, Code::ReduceAnd, a0, all, 0, ~0ULL, 1);
+      }
+    }
+    return constant(0);
+  }
+
+  /// Lowers an edge-time value masked by `mask` into a slot that no
+  /// register commit overwrites (a temporary or a constant), so that every
+  /// commit of an edge sees pre-edge values.
+  std::uint32_t edge_root(const RtlExpr& e, std::uint64_t mask,
+                          std::vector<Instr>& tape) {
+    const Operand v = lower(e, tape);
+    if (v.computed) {
+      tape.back().mask &= mask;
+      return v.slot;
+    }
+    if (v.slot >= nets_) return constant(sim_.values_[v.slot] & mask).slot;
+    return emit(tape, Code::Copy, v.slot, 0, 0, mask, 64).slot;
+  }
+
+  ModuleSim& sim_;
+  const std::uint32_t nets_;
+  std::vector<int> net_bits_;  // bound on the bits a net's value may hold
+  std::unordered_map<std::uint64_t, std::uint32_t> constants_;
+};
 
 ModuleSim::ModuleSim(const Module& module) : ModuleSim(module, SimOptions{}) {}
 
@@ -76,61 +272,20 @@ ModuleSim::ModuleSim(const Module& module, const SimOptions& options)
                              module.name() + ")");
   }
   values_.assign(module.nets().size(), 0);
-  for (const Net& n : module.nets()) names_[n.name] = n.id;
-  if (auto it = names_.find("rst"); it != names_.end()) rst_ = it->second;
+  for (const Net& n : module.nets()) {
+    if (n.name == "rst") rst_ = n.id;
+  }
   for (const Memory& m : module.memories()) {
     memories_.emplace_back(static_cast<std::size_t>(m.depth), 0);
   }
-
-  // Topologically order the continuous assigns.
-  const auto& assigns = module.assigns();
-  const std::size_t n = assigns.size();
-  // driver_of[net] = assign index
-  std::map<int, int> driver_of;
-  for (std::size_t i = 0; i < n; ++i) {
-    driver_of[assigns[i].target] = static_cast<int>(i);
-  }
-  // Dependencies between assigns.
-  std::vector<std::vector<int>> deps(n);  // assign i depends on deps[i]
-  std::vector<int> indegree(n, 0);
-  std::vector<std::vector<int>> dependents(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::set<int> refs;
-    collect_refs(*assigns[i].value, refs);
-    for (int r : refs) {
-      auto it = driver_of.find(r);
-      if (it != driver_of.end()) {
-        dependents[static_cast<std::size_t>(it->second)].push_back(
-            static_cast<int>(i));
-        ++indegree[i];
-      }
-    }
-  }
-  std::vector<int> ready;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (indegree[i] == 0) ready.push_back(static_cast<int>(i));
-  }
-  while (!ready.empty()) {
-    int i = ready.back();
-    ready.pop_back();
-    order_.push_back(i);
-    for (int d : dependents[static_cast<std::size_t>(i)]) {
-      if (--indegree[static_cast<std::size_t>(d)] == 0) ready.push_back(d);
-    }
-  }
-  if (order_.size() != n) {
-    throw std::runtime_error("ModuleSim: combinational cycle in " +
-                             module.name());
-  }
-  settle();
+  TapeBuilder(*this).build();
 }
 
 int ModuleSim::net_id(const std::string& name) const {
-  auto it = names_.find(name);
-  if (it == names_.end()) {
-    throw std::runtime_error("ModuleSim: no net named '" + name + "'");
+  for (const Net& n : module_.nets()) {
+    if (n.name == name) return n.id;
   }
-  return it->second;
+  throw std::runtime_error("ModuleSim: no net named '" + name + "'");
 }
 
 std::size_t ModuleSim::memory_index(const std::string& name) const {
@@ -141,135 +296,83 @@ std::size_t ModuleSim::memory_index(const std::string& name) const {
   throw std::runtime_error("ModuleSim: no memory named '" + name + "'");
 }
 
-std::uint64_t ModuleSim::eval(const RtlExpr& e) const {
-  switch (e.op) {
-    case RtlOp::Const:
-      return e.value;
-    case RtlOp::Ref:
-      return values_[static_cast<std::size_t>(e.net)];
-    case RtlOp::Slice:
-      return (eval(*e.args[0]) >> e.lo) & low_mask(e.hi - e.lo + 1);
-    case RtlOp::Concat: {
-      std::uint64_t v = 0;
-      for (const auto& a : e.args) {
-        v = (v << a->width) | (eval(*a) & low_mask(a->width));
-      }
-      return v & low_mask(e.width);
+void ModuleSim::run(const std::vector<Instr>& tape) {
+  std::uint64_t* v = values_.data();
+  for (const Instr& in : tape) {
+    const std::uint64_t a = v[in.a];
+    std::uint64_t r = 0;
+    switch (in.code) {
+      case Code::Copy: r = a; break;
+      case Code::Not: r = ~a; break;
+      case Code::And: r = a & v[in.b]; break;
+      case Code::Or: r = a | v[in.b]; break;
+      case Code::Xor: r = a ^ v[in.b]; break;
+      case Code::Add: r = a + v[in.b]; break;
+      case Code::Sub: r = a - v[in.b]; break;
+      case Code::Shl: r = a << v[in.b]; break;
+      case Code::Shr: r = a >> v[in.b]; break;
+      case Code::Eq: r = a == v[in.b] ? 1 : 0; break;
+      case Code::Ne: r = a != v[in.b] ? 1 : 0; break;
+      case Code::Lt: r = a < v[in.b] ? 1 : 0; break;
+      case Code::Le: r = a <= v[in.b] ? 1 : 0; break;
+      case Code::Mux: r = a != 0 ? v[in.b] : v[in.c]; break;
+      case Code::ReduceOr: r = a != 0 ? 1 : 0; break;
+      case Code::ReduceAnd: r = (a & v[in.b]) == v[in.b] ? 1 : 0; break;
+      case Code::Slice: r = a >> in.c; break;
+      case Code::Concat: r = (a << in.c) | v[in.b]; break;
     }
-    case RtlOp::Not:
-      return ~eval(*e.args[0]) & low_mask(e.width);
-    case RtlOp::And:
-      return eval(*e.args[0]) & eval(*e.args[1]) & low_mask(e.width);
-    case RtlOp::Or:
-      return (eval(*e.args[0]) | eval(*e.args[1])) & low_mask(e.width);
-    case RtlOp::Xor:
-      return (eval(*e.args[0]) ^ eval(*e.args[1])) & low_mask(e.width);
-    case RtlOp::Add:
-      return (eval(*e.args[0]) + eval(*e.args[1])) & low_mask(e.width);
-    case RtlOp::Sub:
-      return (eval(*e.args[0]) - eval(*e.args[1])) & low_mask(e.width);
-    case RtlOp::Eq:
-      return eval(*e.args[0]) == eval(*e.args[1]) ? 1 : 0;
-    case RtlOp::Ne:
-      return eval(*e.args[0]) != eval(*e.args[1]) ? 1 : 0;
-    case RtlOp::Lt:
-      return eval(*e.args[0]) < eval(*e.args[1]) ? 1 : 0;
-    case RtlOp::Le:
-      return eval(*e.args[0]) <= eval(*e.args[1]) ? 1 : 0;
-    case RtlOp::Shl:
-      return (eval(*e.args[0]) << eval(*e.args[1])) & low_mask(e.width);
-    case RtlOp::Shr:
-      return (eval(*e.args[0]) >> eval(*e.args[1])) & low_mask(e.width);
-    case RtlOp::Mux:
-      return (eval(*e.args[0]) != 0 ? eval(*e.args[1]) : eval(*e.args[2])) &
-             low_mask(e.width);
-    case RtlOp::ReduceOr:
-      return eval(*e.args[0]) != 0 ? 1 : 0;
-    case RtlOp::ReduceAnd: {
-      const std::uint64_t all = low_mask(e.args[0]->width);
-      return (eval(*e.args[0]) & all) == all ? 1 : 0;
-    }
+    v[in.dst] = r & in.mask;
   }
-  return 0;
 }
 
 void ModuleSim::settle() {
-  for (int i : order_) {
-    const ContAssign& a = module_.assigns()[static_cast<std::size_t>(i)];
-    values_[static_cast<std::size_t>(a.target)] =
-        eval(*a.value) & low_mask(module_.net(a.target).width);
-  }
+  run(comb_);
+  ++settles_;
 }
 
 void ModuleSim::step() {
-  settle();
-
-  // Evaluate every next-state value and memory port with the pre-edge
-  // combinational state, then commit them together.
-  struct Commit {
-    int target;
-    std::uint64_t value;
-  };
-  struct MemWrite {
-    std::size_t memory;
-    std::size_t addr;
-    std::uint64_t value;
-  };
-  std::vector<Commit> commits;  // registers, then memory read ports
-  std::vector<MemWrite> mem_writes;
+  // Every edge value lands in a temporary first, so the commits below all
+  // see the pre-edge state.
+  run(edge_);
   const bool in_reset = rst_ >= 0 && get(rst_) != 0;
-  for (const SeqAssign& s : module_.seqs()) {
-    if (in_reset && s.has_reset) {
-      commits.push_back(Commit{s.target, s.reset_value});
-      continue;
-    }
-    if (s.enable != nullptr && eval(*s.enable) == 0) continue;
-    commits.push_back(Commit{
-        s.target, eval(*s.value) & low_mask(module_.net(s.target).width)});
-  }
-  const auto& mems = module_.memories();
-  for (std::size_t m = 0; m < mems.size(); ++m) {
-    const Memory& mem = mems[m];
-    const std::vector<std::uint64_t>& storage = memories_[m];
-    for (const MemoryPort& p : mem.ports) {
-      std::size_t addr = static_cast<std::size_t>(eval(*p.addr)) %
-                         storage.size();
-      if (p.read_data >= 0) {
-        // Read-first: capture the pre-edge contents.
-        commits.push_back(
-            Commit{p.read_data, storage[addr] & low_mask(mem.width)});
-      }
-      if (p.write_enable != nullptr && eval(*p.write_enable) != 0 &&
-          !in_reset) {
-        mem_writes.push_back(
-            MemWrite{m, addr, eval(*p.write_data) & low_mask(mem.width)});
-      }
+  for (const RegCommit& r : regs_) {
+    if (in_reset && r.has_reset) {
+      values_[r.target] = r.reset_value;
+    } else if (r.enable == kNone || values_[r.enable] != 0) {
+      values_[r.target] = values_[r.value];
     }
   }
-
-  for (const Commit& c : commits) {
-    values_[static_cast<std::size_t>(c.target)] = c.value;
+  // Read-first: every read port captures the pre-edge word, then the
+  // write ports commit.
+  for (const PortCommit& p : ports_) {
+    if (p.read_data < 0) continue;
+    const std::vector<std::uint64_t>& words = memories_[p.memory];
+    values_[static_cast<std::size_t>(p.read_data)] =
+        words[values_[p.addr] % words.size()] & p.mask;
   }
-  for (const MemWrite& w : mem_writes) {
-    memories_[w.memory][w.addr] = w.value;
+  if (!in_reset) {
+    for (const PortCommit& p : ports_) {
+      if (p.write_enable == kNone || values_[p.write_enable] == 0) continue;
+      std::vector<std::uint64_t>& words = memories_[p.memory];
+      words[values_[p.addr] % words.size()] = values_[p.write_data];
+    }
   }
   ++cycles_;
-  settle();
 }
 
 void ModuleSim::reset() {
   if (rst_ < 0) return;
   set_input(rst_, 1);
+  settle();
   step();
   set_input(rst_, 0);
-  settle();
 }
 
 void ModuleSim::clear_state() {
-  std::fill(values_.begin(), values_.end(), 0);
+  std::fill_n(values_.begin(), module_.nets().size(), 0);
   for (auto& words : memories_) std::fill(words.begin(), words.end(), 0);
   cycles_ = 0;
-  settle();
+  settles_ = 0;
 }
 
 std::uint64_t ModuleSim::read_mem(const std::string& mem,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <stdexcept>
 
 namespace hicsync::rtl {
 
@@ -106,6 +107,75 @@ RtlExprPtr ereduce_and(RtlExprPtr v) {
 }
 
 int expr_width(const RtlExpr& e) { return e.width; }
+
+namespace {
+
+template <typename F>
+void for_each_ref(const RtlExpr& e, F& f) {
+  if (e.op == RtlOp::Ref) f(e.net);
+  for (const auto& a : e.args) for_each_ref(*a, f);
+}
+
+}  // namespace
+
+std::vector<int> assign_order(const Module& module, const char* who) {
+  const auto& assigns = module.assigns();
+  const int n = static_cast<int>(assigns.size());
+  std::vector<int> driver_of(module.nets().size(), -1);  // net -> assign
+  for (int i = 0; i < n; ++i) {
+    driver_of[static_cast<std::size_t>(assigns[static_cast<std::size_t>(i)]
+                                           .target)] = i;
+  }
+  // One edge driver -> reader per distinct driven net an assign reads,
+  // gathered reader by reader so each driver's dependents stay ascending.
+  std::vector<std::pair<int, int>> edges;
+  std::vector<int> indegree(static_cast<std::size_t>(n), 0);
+  std::vector<int> seen(module.nets().size(), -1);  // net -> last reader
+  for (int i = 0; i < n; ++i) {
+    auto visit = [&](int net) {
+      const auto r = static_cast<std::size_t>(net);
+      if (seen[r] == i || driver_of[r] < 0) return;
+      seen[r] = i;
+      edges.emplace_back(driver_of[r], i);
+      ++indegree[static_cast<std::size_t>(i)];
+    };
+    for_each_ref(*assigns[static_cast<std::size_t>(i)].value, visit);
+  }
+  // Dependents of assign d: dependents[first[d] .. first[d + 1]).
+  std::vector<int> first(static_cast<std::size_t>(n) + 1, 0);
+  for (const auto& [d, i] : edges) ++first[static_cast<std::size_t>(d) + 1];
+  for (std::size_t d = 0; d < static_cast<std::size_t>(n); ++d) {
+    first[d + 1] += first[d];
+  }
+  std::vector<int> dependents(edges.size());
+  std::vector<int> fill(first.begin(), first.end() - 1);
+  for (const auto& [d, i] : edges) {
+    dependents[static_cast<std::size_t>(fill[static_cast<std::size_t>(d)]++)] =
+        i;
+  }
+
+  std::vector<int> order;
+  order.reserve(static_cast<std::size_t>(n));
+  std::vector<int> ready;
+  for (int i = 0; i < n; ++i) {
+    if (indegree[static_cast<std::size_t>(i)] == 0) ready.push_back(i);
+  }
+  while (!ready.empty()) {
+    const int i = ready.back();
+    ready.pop_back();
+    order.push_back(i);
+    const auto d = static_cast<std::size_t>(i);
+    for (int k = first[d]; k < first[d + 1]; ++k) {
+      const int r = dependents[static_cast<std::size_t>(k)];
+      if (--indegree[static_cast<std::size_t>(r)] == 0) ready.push_back(r);
+    }
+  }
+  if (static_cast<int>(order.size()) != n) {
+    throw std::runtime_error(std::string(who) + ": combinational cycle in " +
+                             module.name());
+  }
+  return order;
+}
 
 // ---------------------------------------------------------------------------
 

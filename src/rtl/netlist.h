@@ -226,4 +226,12 @@ class Design {
 /// Width of an expression (already stored, exposed for checking).
 [[nodiscard]] int expr_width(const RtlExpr& e);
 
+/// Indices into module.assigns() in topological order: each assign comes
+/// after the assigns driving the nets its value reads. This is the one order
+/// both rtl::ModuleSim and the technology mapper evaluate in. Throws
+/// std::runtime_error("<who>: combinational cycle in <module>") if the
+/// assigns form a loop.
+[[nodiscard]] std::vector<int> assign_order(const Module& module,
+                                            const char* who);
+
 }  // namespace hicsync::rtl

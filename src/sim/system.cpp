@@ -273,6 +273,12 @@ void SystemSim::reset() {
   }
 }
 
+std::vector<std::uint64_t> SystemSim::controller_settles() const {
+  std::vector<std::uint64_t> settles;
+  for (const auto& ctrl : controllers_) settles.push_back(ctrl->sim->settles());
+  return settles;
+}
+
 SystemSim::ThreadExec* SystemSim::find_thread(const std::string& name) const {
   for (const auto& t : threads_) {
     if (t->name == name) return t.get();
@@ -513,6 +519,9 @@ std::uint64_t eval_expr(const hic::Expr& e, const EvalCtx& ctx) {
 // The main simulation loop.
 // ---------------------------------------------------------------------------
 
+// One settle per controller per cycle: drivers read only registers (the
+// slot), so the settle after driving serves the probe, the observers and
+// the edge alike.
 void SystemSim::step() {
   const bool traced = tracing();
   if (traced) trace_->begin_cycle(cycle_);

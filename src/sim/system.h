@@ -116,6 +116,10 @@ class SystemSim {
   bool run_until_passes(int passes, std::uint64_t max_cycles);
 
   [[nodiscard]] std::uint64_t cycle() const { return cycle_; }
+  /// Settle passes of each controller netlist (one entry per controller,
+  /// in construction order) since construction or the last reset(): one
+  /// per step() plus the one the reset itself does.
+  [[nodiscard]] std::vector<std::uint64_t> controller_settles() const;
   [[nodiscard]] int passes(const std::string& thread) const;
   /// Value of a (register) variable after the last completed pass.
   [[nodiscard]] std::uint64_t register_value(const std::string& thread,

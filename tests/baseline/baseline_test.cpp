@@ -8,9 +8,12 @@
 #include "memorg/arbitrated.h"
 #include "memorg/eventdriven.h"
 #include "../memorg/memorg_test_util.h"
+#include "../rtl/rtl_test_util.h"
 
 namespace hicsync::baseline {
 namespace {
+
+using rtl::testing::tick;
 
 rtl::Module& make_bare(rtl::Design& d, int clients) {
   BareConfig cfg;
@@ -42,19 +45,19 @@ TEST(Bare, WriteReadThroughSharedPort) {
   sim.set_input("wdata0", 0xAB);
   sim.settle();
   EXPECT_EQ(sim.get("grant0"), 1u);
-  sim.step();
+  tick(sim);
   sim.set_input("req0", 0);
   sim.set_input("we0", 0);
-  sim.step();  // write commits
+  tick(sim);  // write commits
   EXPECT_EQ(sim.read_mem("mem", 9), 0xABu);
   // Read back via client 1.
   sim.set_input("req1", 1);
   sim.set_input("addr1", 9);
   sim.settle();
   EXPECT_EQ(sim.get("grant1"), 1u);
-  sim.step();
+  tick(sim);
   sim.set_input("req1", 0);
-  sim.step();
+  tick(sim);
   sim.settle();
   EXPECT_EQ(sim.get("valid1"), 1u);
   EXPECT_EQ(sim.get("bus_rdata"), 0xABu);
@@ -82,7 +85,7 @@ TEST(LockMem, AcquireExcludesOthers) {
   // Client 0 acquires the lock on address 4.
   sim.set_input("lock_req0", 1);
   sim.set_input("lock_addr0", 4);
-  sim.step();
+  tick(sim);
   sim.set_input("lock_req0", 0);
   sim.settle();
   EXPECT_EQ(sim.get("lock_grant0"), 1u);
@@ -90,7 +93,7 @@ TEST(LockMem, AcquireExcludesOthers) {
   sim.set_input("lock_req1", 1);
   sim.set_input("lock_addr1", 4);
   for (int i = 0; i < 4; ++i) {
-    sim.step();
+    tick(sim);
     sim.settle();
     EXPECT_EQ(sim.get("lock_grant1"), 0u);
   }
@@ -116,19 +119,19 @@ TEST(LockMem, UnlockReleases) {
   sim.reset();
   sim.set_input("lock_req0", 1);
   sim.set_input("lock_addr0", 4);
-  sim.step();
+  tick(sim);
   sim.set_input("lock_req0", 0);
   sim.settle();
   ASSERT_EQ(sim.get("lock_grant0"), 1u);
   sim.set_input("unlock_req0", 1);
-  sim.step();
+  tick(sim);
   sim.set_input("unlock_req0", 0);
   sim.settle();
   EXPECT_EQ(sim.get("lock_grant0"), 0u);
   // Now client 1 can acquire.
   sim.set_input("lock_req1", 1);
   sim.set_input("lock_addr1", 4);
-  sim.step();
+  tick(sim);
   sim.set_input("lock_req1", 0);
   sim.settle();
   EXPECT_EQ(sim.get("lock_grant1"), 1u);

@@ -4,9 +4,12 @@
 
 #include "memorg_test_util.h"
 #include "rtl/eval.h"
+#include "../rtl/rtl_test_util.h"
 
 namespace hicsync::memorg {
 namespace {
+
+using rtl::testing::tick;
 
 using testing::arb_config;
 using testing::idx;
@@ -25,7 +28,7 @@ int wait_for(rtl::ModuleSim& sim, const std::string& signal,
   for (int i = 0; i <= max_cycles; ++i) {
     sim.settle();
     if (sim.get(signal) != 0) return i;
-    sim.step();
+    tick(sim);
   }
   return -1;
 }
@@ -38,7 +41,7 @@ bool produce(rtl::ModuleSim& sim, int j, std::uint64_t addr,
   sim.set_input(idx("d_addr", j), addr);
   sim.set_input(idx("d_wdata", j), value);
   if (wait_for(sim, idx("d_grant", j), max_cycles) < 0) return false;
-  sim.step();  // commit the grant
+  tick(sim);  // commit the grant
   sim.set_input(idx("d_req", j), 0);
   return true;
 }
@@ -50,11 +53,11 @@ bool consume(rtl::ModuleSim& sim, int i, std::uint64_t addr,
   sim.set_input(idx("c_req", i), 1);
   sim.set_input(idx("c_addr", i), addr);
   if (wait_for(sim, idx("c_grant", i), max_cycles) < 0) return false;
-  sim.step();
+  tick(sim);
   sim.set_input(idx("c_req", i), 0);
   if (wait_for(sim, idx("c_valid", i), 4) < 0) return false;
   if (out != nullptr) *out = sim.get("bus_rdata");
-  sim.step();
+  tick(sim);
   return true;
 }
 
@@ -62,6 +65,7 @@ TEST(ArbitratedStructure, Figure2PortsPresent) {
   rtl::Design d;
   rtl::Module& m = gen(d, arb_config(2));
   rtl::ModuleSim sim(m);
+  sim.settle();
   // Four logical ports of Fig. 2.
   EXPECT_NO_THROW((void)sim.get("a_rdata"));
   EXPECT_NO_THROW((void)sim.get("b_grant"));
@@ -103,9 +107,9 @@ TEST(ArbitratedFunc, PortAIndependentAccess) {
   sim.set_input("a_we", 1);
   sim.set_input("a_addr", 10);
   sim.set_input("a_wdata", 0xBEEF);
-  sim.step();
+  tick(sim);
   sim.set_input("a_we", 0);
-  sim.step();
+  tick(sim);
   EXPECT_EQ(sim.get("a_rdata"), 0xBEEFu);
 }
 
@@ -120,12 +124,12 @@ TEST(ArbitratedFunc, ConsumerBlocksUntilProducerWrites) {
   for (int i = 0; i < 6; ++i) {
     sim.settle();
     EXPECT_EQ(sim.get("c_grant0"), 0u) << "cycle " << i;
-    sim.step();
+    tick(sim);
   }
   // Producer writes; the blocked consumer is then granted and reads 77.
   ASSERT_TRUE(produce(sim, 0, 4, 77));
   ASSERT_GE(wait_for(sim, "c_grant0", 4), 0);
-  sim.step();
+  tick(sim);
   sim.set_input("c_req0", 0);
   ASSERT_GE(wait_for(sim, "c_valid0", 4), 0);
   EXPECT_EQ(sim.get("bus_rdata"), 77u);
@@ -145,15 +149,15 @@ TEST(ArbitratedFunc, GrantAndDataLatencyExact) {
   sim.set_input("c_addr0", 4);
   sim.settle();
   EXPECT_EQ(sim.get("c_grant0"), 0u);
-  sim.step();
+  tick(sim);
   sim.settle();
   EXPECT_EQ(sim.get("c_grant0"), 1u);
-  sim.step();
+  tick(sim);
   sim.set_input("c_req0", 0);
   // Valid exactly 2 cycles after the grant edge.
   sim.settle();
   EXPECT_EQ(sim.get("c_valid0"), 0u);
-  sim.step();
+  tick(sim);
   sim.settle();
   EXPECT_EQ(sim.get("c_valid0"), 1u);
   EXPECT_EQ(sim.get("bus_rdata"), 9u);
@@ -186,7 +190,7 @@ TEST(ArbitratedFunc, ProducerBlockedUntilCycleCompletes) {
   for (int i = 0; i < 5; ++i) {
     sim.settle();
     EXPECT_EQ(sim.get("d_grant0"), 0u) << "cycle " << i;
-    sim.step();
+    tick(sim);
   }
   // One consumer reads; still blocked (count 1).
   ASSERT_TRUE(consume(sim, 0, 4));
@@ -201,7 +205,7 @@ TEST(ArbitratedFunc, ProducerBlockedUntilCycleCompletes) {
   for (int i = 0; i < 6 && !reloaded; ++i) {
     sim.settle();
     reloaded = sim.get("dep0_count") == 2u;
-    sim.step();
+    tick(sim);
   }
   EXPECT_TRUE(reloaded);
   EXPECT_EQ(sim.read_mem("mem", 4), 2u);
@@ -230,11 +234,11 @@ TEST(ArbitratedFunc, WriteBeatsReadInSameCycle) {
   sim.set_input("d_req0", 1);
   sim.set_input("d_addr0", 8);
   sim.set_input("d_wdata0", 6);
-  sim.step();  // both eligibility bits latch
+  tick(sim);  // both eligibility bits latch
   sim.settle();
   EXPECT_EQ(sim.get("d_grant0"), 1u);
   EXPECT_EQ(sim.get("c_grant0"), 0u);  // suppressed by the write
-  sim.step();
+  tick(sim);
   sim.set_input("d_req0", 0);
   // The read follows one cycle later.
   sim.settle();
@@ -267,7 +271,7 @@ TEST(ArbitratedFunc, RoundRobinFairnessAmongConsumers) {
       ++grants[static_cast<std::size_t>(granted)];
       sim.set_input(idx("c_req", granted), 0);
     }
-    sim.step();
+    tick(sim);
   }
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(grants[static_cast<std::size_t>(i)], 1) << "consumer " << i;
@@ -307,10 +311,10 @@ TEST(ArbitratedFunc, PortBReadReturnsData) {
   sim.set_input("b_we", 1);
   sim.set_input("b_addr", 20);
   sim.set_input("b_wdata", 0x42);
-  sim.step();  // write grant latched
+  tick(sim);  // write grant latched
   sim.set_input("b_we", 0);
-  sim.step();  // write commits; read grant latched
-  sim.step();  // read data lands
+  tick(sim);  // write commits; read grant latched
+  tick(sim);  // read data lands
   EXPECT_EQ(sim.get("b_valid"), 1u);
   EXPECT_EQ(sim.get("bus_rdata"), 0x42u);
 }
@@ -355,10 +359,10 @@ TEST(ArbitratedFunc, TwoDependencyEntriesIndependent) {
   for (int i = 0; i < 4; ++i) {
     sim.settle();
     EXPECT_EQ(sim.get("c_grant1"), 0u);
-    sim.step();
+    tick(sim);
   }
   sim.set_input("c_req1", 0);
-  sim.step();
+  tick(sim);
   // At addr 8 it proceeds and returns the produced value.
   std::uint64_t out = 0;
   ASSERT_TRUE(consume(sim, 1, 8, &out));
@@ -385,10 +389,10 @@ TEST(ArbitratedFunc, SerialScanModeStillEnforcesDependencies) {
   for (int i = 0; i < 5; ++i) {
     sim.settle();
     EXPECT_EQ(sim.get("c_grant0"), 0u);
-    sim.step();
+    tick(sim);
   }
   sim.set_input("c_req0", 0);
-  sim.step();
+  tick(sim);
   // Produce at addr 8 and read it back; the serial scan adds up to
   // |entries| lookup cycles but preserves the guard semantics.
   ASSERT_TRUE(produce(sim, 0, 8, 5));

@@ -4,9 +4,12 @@
 
 #include "memorg_test_util.h"
 #include "rtl/eval.h"
+#include "../rtl/rtl_test_util.h"
 
 namespace hicsync::memorg {
 namespace {
+
+using rtl::testing::tick;
 
 using testing::ev_config;
 using testing::idx;
@@ -22,6 +25,7 @@ TEST(EventDrivenStructure, Figure3PortsPresent) {
   rtl::Design d;
   rtl::Module& m = gen(d, ev_config(2));
   rtl::ModuleSim sim(m);
+  sim.settle();
   EXPECT_NO_THROW((void)sim.get("a_rdata"));
   EXPECT_NO_THROW((void)sim.get("p_grant0"));
   EXPECT_NO_THROW((void)sim.get("ev_p0"));
@@ -58,6 +62,7 @@ TEST(EventDrivenFunc, StartsAtProducerSlot) {
   rtl::Module& m = gen(d, ev_config(2));
   rtl::ModuleSim sim(m);
   sim.reset();
+  sim.settle();
   EXPECT_EQ(sim.get("slot"), 0u);
   EXPECT_EQ(sim.get("ev_p0"), 1u);
   EXPECT_EQ(sim.get("ev_c0"), 0u);
@@ -70,13 +75,13 @@ TEST(EventDrivenFunc, SelectionBlocksUntilProducerFires) {
   rtl::ModuleSim sim(m);
   sim.reset();
   for (int i = 0; i < 4; ++i) {
-    sim.step();
+    tick(sim);
     EXPECT_EQ(sim.get("slot"), 0u) << "selection logic must block";
   }
   // Consumers requesting early changes nothing.
   sim.set_input("c_req0", 1);
   sim.set_input("c_addr0", 4);
-  sim.step();
+  tick(sim);
   EXPECT_EQ(sim.get("slot"), 0u);
 }
 
@@ -90,14 +95,15 @@ TEST(EventDrivenFunc, WriteAdvancesToFirstConsumer) {
   sim.set_input("p_wdata0", 42);
   sim.settle();
   EXPECT_EQ(sim.get("p_grant0"), 1u);
-  sim.step();
+  tick(sim);
   sim.set_input("p_req0", 0);
+  sim.settle();
   EXPECT_EQ(sim.get("slot"), 1u);
   EXPECT_EQ(sim.get("ev_c0"), 1u);
   EXPECT_EQ(sim.get("ev_c1"), 0u);
   // The write passes through the port-1 operand registers: it commits to
   // the BRAM one cycle after the producer's slot fires.
-  sim.step();
+  tick(sim);
   EXPECT_EQ(sim.read_mem("mem", 4), 42u);
 }
 
@@ -114,18 +120,18 @@ TEST(EventDrivenFunc, ConsumersReadInStaticOrder) {
   sim.set_input("p_req0", 1);
   sim.set_input("p_addr0", 4);
   sim.set_input("p_wdata0", 55);
-  sim.step();  // producer's slot fires, slot -> 1
+  tick(sim);  // producer's slot fires, slot -> 1
   sim.set_input("p_req0", 0);
-  sim.step();  // consumer 0's slot fires, slot -> 2; the write commits
+  tick(sim);  // consumer 0's slot fires, slot -> 2; the write commits
   sim.set_input("c_req0", 0);
-  sim.step();  // consumer 1's slot fires, slot wraps; c0's data lands
+  tick(sim);  // consumer 1's slot fires, slot wraps; c0's data lands
   sim.set_input("c_req1", 0);
   sim.settle();
   EXPECT_EQ(sim.get("c_valid0"), 1u);
   EXPECT_EQ(sim.get("c_valid1"), 0u);
   EXPECT_EQ(sim.get("bus_rdata"), 55u);
   EXPECT_EQ(sim.get("slot"), 0u);  // modulo wrap to the producer slot
-  sim.step();  // c1's data lands
+  tick(sim);  // c1's data lands
   sim.settle();
   EXPECT_EQ(sim.get("c_valid1"), 1u);
   EXPECT_EQ(sim.get("c_valid0"), 0u);
@@ -148,10 +154,10 @@ TEST(EventDrivenFunc, DeterministicPostWriteLatency) {
     sim.set_input("p_req0", 1);
     sim.set_input("p_addr0", 4);
     sim.set_input("p_wdata0", 7);
-    sim.step();  // write slot fires
+    tick(sim);  // write slot fires
     sim.set_input("p_req0", 0);
     for (int k = 0; k < nc; ++k) {
-      sim.step();  // consumer k's slot fires
+      tick(sim);  // consumer k's slot fires
       sim.set_input(idx("c_req", k), 0);
       sim.settle();
       if (k >= 1) {
@@ -161,7 +167,7 @@ TEST(EventDrivenFunc, DeterministicPostWriteLatency) {
       }
       EXPECT_EQ(sim.get(idx("c_valid", k)), 0u) << "nc=" << nc << " k=" << k;
     }
-    sim.step();  // last consumer's data lands
+    tick(sim);  // last consumer's data lands
     sim.settle();
     EXPECT_EQ(sim.get(idx("c_valid", nc - 1)), 1u) << "nc=" << nc;
   }
@@ -175,27 +181,27 @@ TEST(EventDrivenFunc, SlowConsumerStallsSchedule) {
   sim.set_input("p_req0", 1);
   sim.set_input("p_addr0", 4);
   sim.set_input("p_wdata0", 9);
-  sim.step();
+  tick(sim);
   sim.set_input("p_req0", 0);
   // Consumer 0 not ready: slot stays until it requests.
   for (int i = 0; i < 3; ++i) {
-    sim.step();
+    tick(sim);
     EXPECT_EQ(sim.get("slot"), 1u);
   }
   // Consumer 1 cannot jump the order.
   sim.set_input("c_req1", 1);
   sim.set_input("c_addr1", 4);
-  sim.step();
+  tick(sim);
   EXPECT_EQ(sim.get("slot"), 1u);
   sim.settle();
   EXPECT_EQ(sim.get("c_valid1"), 0u);
   // Consumer 0 arrives; order proceeds 0 then 1.
   sim.set_input("c_req0", 1);
   sim.set_input("c_addr0", 4);
-  sim.step();
+  tick(sim);
   sim.set_input("c_req0", 0);
   EXPECT_EQ(sim.get("slot"), 2u);
-  sim.step();
+  tick(sim);
   sim.set_input("c_req1", 0);
   EXPECT_EQ(sim.get("slot"), 0u);
 }
@@ -210,9 +216,9 @@ TEST(EventDrivenFunc, PortAIndependentOfSchedule) {
   sim.set_input("a_we", 1);
   sim.set_input("a_addr", 30);
   sim.set_input("a_wdata", 123);
-  sim.step();
+  tick(sim);
   sim.set_input("a_we", 0);
-  sim.step();
+  tick(sim);
   EXPECT_EQ(sim.get("a_rdata"), 123u);
   EXPECT_EQ(sim.get("slot"), 0u);
 }
@@ -233,18 +239,20 @@ TEST(EventDrivenFunc, TwoDependenciesModuloBetweenProducers) {
   rtl::Module& m = gen(d, cfg);
   rtl::ModuleSim sim(m);
   sim.reset();
+  sim.settle();
   // Slots: 0 = p0 write, 1 = c0 read, 2 = p1 write, 3 = c1 read.
   EXPECT_EQ(sim.get("ev_p0"), 1u);
   EXPECT_EQ(sim.get("ev_p1"), 0u);
   sim.set_input("p_req0", 1);
   sim.set_input("p_addr0", 4);
   sim.set_input("p_wdata0", 1);
-  sim.step();
+  tick(sim);
   sim.set_input("p_req0", 0);
   sim.set_input("c_req0", 1);
   sim.set_input("c_addr0", 4);
-  sim.step();
+  tick(sim);
   sim.set_input("c_req0", 0);
+  sim.settle();
   // Now producer 1's slot: modulo scheduling moved to the next producer.
   EXPECT_EQ(sim.get("slot"), 2u);
   EXPECT_EQ(sim.get("ev_p1"), 1u);
@@ -252,12 +260,12 @@ TEST(EventDrivenFunc, TwoDependenciesModuloBetweenProducers) {
   sim.set_input("p_req1", 1);
   sim.set_input("p_addr1", 8);
   sim.set_input("p_wdata1", 2);
-  sim.step();
+  tick(sim);
   sim.set_input("p_req1", 0);
   EXPECT_EQ(sim.get("slot"), 3u);
   sim.set_input("c_req1", 1);
   sim.set_input("c_addr1", 8);
-  sim.step();
+  tick(sim);
   sim.set_input("c_req1", 0);
   EXPECT_EQ(sim.get("slot"), 0u);  // wrapped to producer 0
 }
@@ -272,14 +280,14 @@ TEST(EventDrivenFunc, RepeatedRoundsDeliverFreshData) {
     sim.set_input("p_req0", 1);
     sim.set_input("p_addr0", 4);
     sim.set_input("p_wdata0", value);
-    sim.step();
+    tick(sim);
     sim.set_input("p_req0", 0);
     for (int i = 0; i < 2; ++i) {
       sim.set_input(idx("c_req", i), 1);
       sim.set_input(idx("c_addr", i), 4);
-      sim.step();  // slot fires
+      tick(sim);  // slot fires
       sim.set_input(idx("c_req", i), 0);
-      sim.step();  // data lands
+      tick(sim);  // data lands
       sim.settle();
       EXPECT_EQ(sim.get(idx("c_valid", i)), 1u) << "round " << round;
       EXPECT_EQ(sim.get("bus_rdata"), value) << "round " << round;

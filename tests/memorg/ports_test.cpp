@@ -12,6 +12,7 @@
 #include "memorg/deplist.h"
 #include "memorg_test_util.h"
 #include "support/file.h"
+#include "../rtl/rtl_test_util.h"
 
 #ifndef HICSYNC_EXAMPLES_DIR
 #error "HICSYNC_EXAMPLES_DIR must point at the examples/ directory"
@@ -19,6 +20,8 @@
 
 namespace hicsync::memorg {
 namespace {
+
+using rtl::testing::tick;
 
 TEST(SlotSchedule, ProducerThenConsumersPerEntryInOrder) {
   std::vector<DepEntry> entries(2);
@@ -82,13 +85,13 @@ TEST(SlotSchedule, EventDrivenNetlistFollowsTheScheduleAndWraps) {
                                     std::to_string(s);
           ASSERT_EQ(sim.get(ports.slot), s) << where;
           // Without its owner's request the slot holds.
-          sim.step();
+          tick(sim);
           ASSERT_EQ(sim.get(ports.slot), s) << where;
           const auto pp = static_cast<std::size_t>(schedule[s].pseudo_port);
           const int req = schedule[s].producer ? ports.producers[pp].req
                                                : ports.consumers[pp].req;
           sim.set_input(req, 1);
-          sim.step();
+          tick(sim);
           sim.set_input(req, 0);
         }
         EXPECT_EQ(sim.get(ports.slot), 0u) << example << " did not wrap";

@@ -9,11 +9,13 @@
 #include "memalloc/portplan.h"
 #include "netapp/forwarding_rtl.h"
 #include "netapp/traffic.h"
+#include "../rtl/rtl_test_util.h"
 
 namespace hicsync::netapp {
 namespace {
 
 using hic::testing::compile;
+using rtl::testing::tick;
 
 TEST(Scenarios, Figure1Compiles) {
   auto c = compile(figure1_source());
@@ -154,17 +156,17 @@ TEST(ForwardingCore, ChecksumStageVerifiesRealHeader) {
   for (int w = 0; w < 5; ++w) {
     sim.set_input("p0_hdr" + std::to_string(w), word(w));
   }
-  sim.step();  // capture
+  tick(sim);  // capture
   sim.set_input("p0_in_valid", 0);
-  sim.step();  // stage 1 -> ok_q
+  tick(sim);  // stage 1 -> ok_q
   EXPECT_EQ(sim.get("p0_ok_q"), 1u);
 
   // Corrupted checksum: ok_q must stay low.
   sim.set_input("p0_in_valid", 1);
   sim.set_input("p0_hdr2", word(2) ^ 1);
-  sim.step();
+  tick(sim);
   sim.set_input("p0_in_valid", 0);
-  sim.step();
+  tick(sim);
   EXPECT_EQ(sim.get("p0_ok_q"), 0u);
 }
 
@@ -193,9 +195,9 @@ TEST(ForwardingCore, TtlUpdateMatchesSoftwareModel) {
   for (int w = 0; w < 5; ++w) {
     sim.set_input("p0_hdr" + std::to_string(w), word(w));
   }
-  sim.step();
+  tick(sim);
   sim.set_input("p0_in_valid", 0);
-  for (int i = 0; i < 4; ++i) sim.step();  // drain the pipeline
+  for (int i = 0; i < 4; ++i) tick(sim);  // drain the pipeline
 
   Ipv4Header expect = h;
   ASSERT_TRUE(expect.forward_hop());

@@ -238,6 +238,33 @@ TEST(Service, SequencesArePerSessionAndGapFree) {
   EXPECT_EQ(rb.sequence, 1u);
 }
 
+TEST(Service, CloseFreesTheSessionSequenceCounter) {
+  ServiceOptions options;
+  options.shards = 2;
+  Service service(load_fig1(), options);
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < 200; ++i) {
+    ids.push_back(service.open_session());
+    service.close_session(ids.back());
+  }
+  service.drain();
+  Service::Stats stats = service.stats();
+  EXPECT_EQ(stats.sessions_closed, 200u);
+  for (const auto& s : stats.shards) {
+    EXPECT_EQ(s.sessions, 0u) << "shard " << s.shard;
+    EXPECT_EQ(s.sequence_counters, 0u) << "shard " << s.shard;
+  }
+
+  // An open session holds its counter; a closed id still fails.
+  std::uint64_t open = service.open_session();
+  ASSERT_TRUE(service.run(open).get().ok);
+  std::uint64_t counters = 0;
+  for (const auto& s : service.stats().shards) counters += s.sequence_counters;
+  EXPECT_EQ(counters, 1u);
+  CommandResult r = service.run(ids.front()).get();
+  EXPECT_EQ(r.error.rfind("rt-no-session:", 0), 0u) << r.error;
+}
+
 TEST(Service, StatsCountCommandsAndSessions) {
   ServiceOptions options;
   options.shards = 2;

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "rtl/eval.h"
+#include "rtl_test_util.h"
 
 namespace hicsync::rtl {
 namespace {
+
+using testing::tick;
 
 TEST(Builder, MuxTreeSelectsEachInput) {
   Module m("t");
@@ -139,7 +142,7 @@ TEST_P(RoundRobinTest, GrantsAreOneHotAndFair) {
     }
     ASSERT_GE(granted, 0);
     ++grants[static_cast<std::size_t>(granted)];
-    sim.step();
+    tick(sim);
   }
   for (int i = 0; i < n; ++i) {
     EXPECT_EQ(grants[static_cast<std::size_t>(i)], 1) << "requester " << i;
@@ -183,7 +186,7 @@ TEST(Builder, RoundRobinSingleRequesterAlwaysGranted) {
   for (int cycle = 0; cycle < 6; ++cycle) {
     sim.settle();
     EXPECT_EQ(sim.get("g2"), 1u) << "cycle " << cycle;
-    sim.step();
+    tick(sim);
   }
 }
 
@@ -209,7 +212,7 @@ TEST(Builder, CamMatchesValidEntries) {
 
   ModuleSim sim(m);
   sim.reset();
-  sim.step();  // latch the entry addresses (0x10, 0x20, 0x30)
+  tick(sim);  // latch the entry addresses (0x10, 0x20, 0x30)
   sim.set_input("valid0", 1);
   sim.set_input("valid1", 1);
   sim.set_input("valid2", 0);
@@ -240,18 +243,22 @@ TEST(Builder, CounterLoadsAndDecrements) {
 
   ModuleSim sim(m);
   sim.reset();
+  sim.settle();
   EXPECT_EQ(sim.get("count"), 0u);
   sim.set_input("load", 1);
-  sim.step();
+  tick(sim);
   sim.set_input("load", 0);
+  sim.settle();
   EXPECT_EQ(sim.get("count"), 5u);
   sim.set_input("dec", 1);
-  sim.step();
-  sim.step();
+  tick(sim);
+  tick(sim);
+  sim.settle();
   EXPECT_EQ(sim.get("count"), 3u);
   // Load wins over decrement.
   sim.set_input("load", 1);
-  sim.step();
+  tick(sim);
+  sim.settle();
   EXPECT_EQ(sim.get("count"), 5u);
 }
 

@@ -1,9 +1,12 @@
 #include "rtl/eval.h"
+#include "rtl_test_util.h"
 
 #include <gtest/gtest.h>
 
 namespace hicsync::rtl {
 namespace {
+
+using testing::tick;
 
 TEST(Eval, CombinationalAdd) {
   Module m("t");
@@ -52,7 +55,7 @@ TEST(Eval, RegisterUpdatesOnStep) {
   sim.reset();
   sim.set_input("d", 7);
   EXPECT_EQ(sim.get("q"), 0u);
-  sim.step();
+  tick(sim);
   EXPECT_EQ(sim.get("q"), 7u);
 }
 
@@ -66,12 +69,12 @@ TEST(Eval, EnableGatesRegister) {
   ModuleSim sim(m);
   sim.reset();
   sim.set_input("en", 0);
-  sim.step();
-  sim.step();
+  tick(sim);
+  tick(sim);
   EXPECT_EQ(sim.get("q"), 0u);
   sim.set_input("en", 1);
-  sim.step();
-  sim.step();
+  tick(sim);
+  tick(sim);
   EXPECT_EQ(sim.get("q"), 2u);
 }
 
@@ -107,12 +110,12 @@ TEST(Eval, MemoryReadFirstSemantics) {
   sim.set_input("addr", 3);
   sim.set_input("we", 1);
   sim.set_input("wdata", 99);
-  sim.step();
+  tick(sim);
   // Read-first: the read captured the old value while the write landed.
   EXPECT_EQ(sim.get("rdata"), 55u);
   EXPECT_EQ(sim.read_mem("ram", 3), 99u);
   sim.set_input("we", 0);
-  sim.step();
+  tick(sim);
   EXPECT_EQ(sim.get("rdata"), 99u);
 }
 
@@ -143,8 +146,8 @@ TEST(Eval, DualPortMemoryIndependentPorts) {
   sim.set_input("waddr", 5);
   sim.set_input("wdata", 123);
   sim.set_input("raddr", 5);
-  sim.step();
-  sim.step();
+  tick(sim);
+  tick(sim);
   EXPECT_EQ(sim.get("rdata"), 123u);
 }
 

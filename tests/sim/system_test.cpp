@@ -52,6 +52,23 @@ TEST_P(Figure1BothOrgs, ConsumersSeeProducedValue) {
   EXPECT_EQ(w.sim->register_value("t3", "z1"), 1236u);
 }
 
+TEST_P(Figure1BothOrgs, SettlesEachControllerOncePerCycle) {
+  World w = make_world(kFigure1, GetParam(), /*restart=*/true);
+  for (int run = 0; run < 2; ++run) {
+    // reset() settles each controller once, for its reset edge.
+    const std::vector<std::uint64_t> at_reset = w.sim->controller_settles();
+    ASSERT_FALSE(at_reset.empty());
+    for (std::uint64_t s : at_reset) EXPECT_EQ(s, 1u);
+    ASSERT_TRUE(w.sim->run_until_passes(3, 1000));
+    const std::uint64_t cycles = w.sim->cycle();
+    EXPECT_GT(cycles, 0u);
+    for (std::uint64_t s : w.sim->controller_settles()) {
+      EXPECT_EQ(s, 1u + cycles) << "run " << run;
+    }
+    w.sim->reset();  // a recycled run counts from its own reset
+  }
+}
+
 TEST_P(Figure1BothOrgs, RoundRecorded) {
   World w = make_world(kFigure1, GetParam());
   ASSERT_TRUE(w.sim->run_until_passes(1, 200));
