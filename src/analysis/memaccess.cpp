@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "support/graph.h"
+
 namespace hicsync::analysis {
 
 MemAccessGraph MemAccessGraph::build(const hic::Program& program,
@@ -142,28 +144,14 @@ std::vector<hic::Symbol*> MemAccessGraph::symbols() const {
 }
 
 bool MemAccessGraph::is_consistent() const {
-  // Kahn's algorithm over the partial order.
-  const std::size_t n = ops_.size();
-  std::vector<int> indegree(n, 0);
-  std::vector<std::vector<int>> adj(n);
+  // Consistent iff the partial order is acyclic.
+  std::vector<std::vector<int>> adj(ops_.size());
   for (const auto& [from, to] : order_edges_) {
     adj[static_cast<std::size_t>(from)].push_back(to);
-    ++indegree[static_cast<std::size_t>(to)];
   }
-  std::vector<int> ready;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (indegree[i] == 0) ready.push_back(static_cast<int>(i));
-  }
-  std::size_t seen = 0;
-  while (!ready.empty()) {
-    int u = ready.back();
-    ready.pop_back();
-    ++seen;
-    for (int v : adj[static_cast<std::size_t>(u)]) {
-      if (--indegree[static_cast<std::size_t>(v)] == 0) ready.push_back(v);
-    }
-  }
-  return seen == n;
+  return support::topological_order(static_cast<int>(ops_.size()),
+                                    support::successors_in(adj))
+             .size() == ops_.size();
 }
 
 int MemAccessGraph::op_count(const std::string& thread) const {

@@ -60,6 +60,10 @@ struct Client {
     int round = -1;              // marks round completion points
   };
   int id = 0;
+  // Ports as net ids, resolved once by GenericRun::run (lock ports only on
+  // lockmem).
+  int req = -1, we = -1, addr = -1, wdata = -1, grant = -1, valid = -1;
+  int lock_req = -1, lock_addr = -1, unlock_req = -1, lock_grant = -1;
   std::vector<Op> ops;
   std::size_t pc = 0;
   enum class Stage { Drive, AwaitValid, WriteBack } stage = Stage::Drive;
@@ -84,6 +88,23 @@ struct GenericRun {
     std::vector<std::uint64_t> complete_cycle(
         static_cast<std::size_t>(rounds), 0);
 
+    for (Client& c : clients) {
+      auto port = [&](const char* base) { return sim.net_id(idx(base, c.id)); };
+      c.req = port("req");
+      c.we = port("we");
+      c.addr = port("addr");
+      c.wdata = port("wdata");
+      c.grant = port("grant");
+      c.valid = port("valid");
+      if (has_locks) {
+        c.lock_req = port("lock_req");
+        c.lock_addr = port("lock_addr");
+        c.unlock_req = port("unlock_req");
+        c.lock_grant = port("lock_grant");
+      }
+    }
+    const int bus_rdata = sim.net_id("bus_rdata");
+
     std::uint64_t cycle = 0;
     bool all_ok = true;
     while (cycle < max_cycles) {
@@ -95,49 +116,48 @@ struct GenericRun {
 
       // Drive.
       for (Client& c : clients) {
-        std::string s = std::to_string(c.id);
-        sim.set_input("req" + s, 0);
+        sim.set_input(c.req, 0);
         if (has_locks) {
-          sim.set_input(idx("lock_req", c.id), 0);
-          sim.set_input(idx("unlock_req", c.id), 0);
+          sim.set_input(c.lock_req, 0);
+          sim.set_input(c.unlock_req, 0);
         }
         if (c.done()) continue;
         const Client::Op& op = c.op();
         switch (op.kind) {
           case Client::OpKind::Write:
             if (c.stage == Client::Stage::Drive) {
-              sim.set_input("req" + s, 1);
-              sim.set_input("we" + s, 1);
-              sim.set_input("addr" + s, op.addr);
-              sim.set_input("wdata" + s, op.data);
+              sim.set_input(c.req, 1);
+              sim.set_input(c.we, 1);
+              sim.set_input(c.addr, op.addr);
+              sim.set_input(c.wdata, op.data);
             }
             break;
           case Client::OpKind::Read:
           case Client::OpKind::Poll:
             if (c.stage == Client::Stage::Drive) {
-              sim.set_input("req" + s, 1);
-              sim.set_input("we" + s, 0);
-              sim.set_input("addr" + s, op.addr);
+              sim.set_input(c.req, 1);
+              sim.set_input(c.we, 0);
+              sim.set_input(c.addr, op.addr);
             }
             break;
           case Client::OpKind::Increment:
             if (c.stage == Client::Stage::Drive) {
-              sim.set_input("req" + s, 1);
-              sim.set_input("we" + s, 0);
-              sim.set_input("addr" + s, op.addr);
+              sim.set_input(c.req, 1);
+              sim.set_input(c.we, 0);
+              sim.set_input(c.addr, op.addr);
             } else if (c.stage == Client::Stage::WriteBack) {
-              sim.set_input("req" + s, 1);
-              sim.set_input("we" + s, 1);
-              sim.set_input("addr" + s, op.addr);
-              sim.set_input("wdata" + s, c.rmw_value + 1);
+              sim.set_input(c.req, 1);
+              sim.set_input(c.we, 1);
+              sim.set_input(c.addr, op.addr);
+              sim.set_input(c.wdata, c.rmw_value + 1);
             }
             break;
           case Client::OpKind::Lock:
-            sim.set_input(idx("lock_req", c.id), 1);
-            sim.set_input(idx("lock_addr", c.id), op.addr);
+            sim.set_input(c.lock_req, 1);
+            sim.set_input(c.lock_addr, op.addr);
             break;
           case Client::OpKind::Unlock:
-            sim.set_input(idx("unlock_req", c.id), 1);
+            sim.set_input(c.unlock_req, 1);
             break;
           case Client::OpKind::Stop:
             break;
@@ -150,10 +170,9 @@ struct GenericRun {
       for (Client& c : clients) {
         if (c.done()) continue;
         Client::Op& op = c.ops[c.pc];
-        std::string s = std::to_string(c.id);
         switch (op.kind) {
           case Client::OpKind::Write:
-            if (sim.get("grant" + s) != 0) {
+            if (sim.get(c.grant) != 0) {
               ++metrics.bus_grants;
               if (op.round >= 0) {
                 publish_cycle[static_cast<std::size_t>(op.round)] = cycle;
@@ -164,12 +183,12 @@ struct GenericRun {
           case Client::OpKind::Read:
           case Client::OpKind::Poll:
             if (c.stage == Client::Stage::Drive) {
-              if (sim.get("grant" + s) != 0) {
+              if (sim.get(c.grant) != 0) {
                 ++metrics.bus_grants;
                 c.stage = Client::Stage::AwaitValid;
               }
-            } else if (sim.get("valid" + s) != 0) {
-              std::uint64_t v = sim.get("bus_rdata");
+            } else if (sim.get(c.valid) != 0) {
+              std::uint64_t v = sim.get(bus_rdata);
               c.stage = Client::Stage::Drive;
               if (op.kind == Client::OpKind::Read) {
                 if (op.capture != nullptr) *op.capture = v;
@@ -190,17 +209,17 @@ struct GenericRun {
             break;
           case Client::OpKind::Increment:
             if (c.stage == Client::Stage::Drive) {
-              if (sim.get("grant" + s) != 0) {
+              if (sim.get(c.grant) != 0) {
                 ++metrics.bus_grants;
                 c.stage = Client::Stage::AwaitValid;
               }
             } else if (c.stage == Client::Stage::AwaitValid) {
-              if (sim.get("valid" + s) != 0) {
-                c.rmw_value = sim.get("bus_rdata");
+              if (sim.get(c.valid) != 0) {
+                c.rmw_value = sim.get(bus_rdata);
                 c.stage = Client::Stage::WriteBack;
               }
             } else {
-              if (sim.get("grant" + s) != 0) {
+              if (sim.get(c.grant) != 0) {
                 ++metrics.bus_grants;
                 c.stage = Client::Stage::Drive;
                 ++c.pc;
@@ -208,7 +227,7 @@ struct GenericRun {
             }
             break;
           case Client::OpKind::Lock:
-            if (sim.get(idx("lock_grant", c.id)) != 0) ++c.pc;
+            if (sim.get(c.lock_grant) != 0) ++c.pc;
             break;
           case Client::OpKind::Unlock:
             // The release pulse was driven this cycle and commits on this

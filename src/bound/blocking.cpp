@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "bound/lattice.h"
+#include "support/graph.h"
 #include "support/strings.h"
 
 namespace hicsync::bound {
@@ -13,85 +14,25 @@ using verify::SyncOp;
 
 /// Marks the nodes of one thread graph (successors from NodeModel, which
 /// include the Exit→Entry restart edge) that lie on a cycle made of
-/// usable nodes. Iterative Tarjan; a node is "on a cycle" when its SCC is
-/// nontrivial or it has a usable self-loop.
+/// usable nodes: a node is "on a cycle" when its SCC is nontrivial or it
+/// has a usable self-loop. `scc` is scratch reused across calls.
 std::vector<char> cycle_nodes(const verify::ThreadModel& tm,
-                              const std::vector<char>& usable) {
-  const std::size_t n = tm.nodes.size();
-  std::vector<std::int32_t> index(n, -1);
-  std::vector<std::int32_t> lowlink(n, -1);
-  std::vector<char> on_stack(n, 0);
-  std::vector<std::int32_t> comp(n, -1);
-  std::vector<std::int32_t> stack;
-  std::vector<std::int32_t> comp_size;
-  std::int32_t counter = 0;
-
-  struct Frame {
-    std::int32_t v;
-    std::size_t next = 0;
+                              const std::vector<char>& usable,
+                              support::Scc& scc) {
+  const int n = static_cast<int>(tm.nodes.size());
+  auto succs = [&](int v) -> const std::vector<int>& {
+    return tm.nodes[static_cast<std::size_t>(v)].succs;
   };
-  for (std::size_t v0 = 0; v0 < n; ++v0) {
-    if (!usable[v0] || index[v0] >= 0) continue;
-    std::vector<Frame> dfs;
-    dfs.push_back({static_cast<std::int32_t>(v0)});
-    index[v0] = lowlink[v0] = counter++;
-    stack.push_back(static_cast<std::int32_t>(v0));
-    on_stack[v0] = 1;
-    while (!dfs.empty()) {
-      Frame& f = dfs.back();
-      const auto& succs = tm.nodes[static_cast<std::size_t>(f.v)].succs;
-      bool descended = false;
-      while (f.next < succs.size()) {
-        std::size_t w = static_cast<std::size_t>(succs[f.next]);
-        ++f.next;
-        if (!usable[w]) continue;
-        if (index[w] < 0) {
-          index[w] = lowlink[w] = counter++;
-          stack.push_back(static_cast<std::int32_t>(w));
-          on_stack[w] = 1;
-          dfs.push_back({static_cast<std::int32_t>(w)});
-          descended = true;
-          break;
-        }
-        if (on_stack[w]) {
-          lowlink[static_cast<std::size_t>(f.v)] =
-              std::min(lowlink[static_cast<std::size_t>(f.v)], index[w]);
-        }
-      }
-      if (descended) continue;
-      std::int32_t v = f.v;
-      dfs.pop_back();
-      if (!dfs.empty()) {
-        std::size_t p = static_cast<std::size_t>(dfs.back().v);
-        lowlink[p] =
-            std::min(lowlink[p], lowlink[static_cast<std::size_t>(v)]);
-      }
-      if (lowlink[static_cast<std::size_t>(v)] ==
-          index[static_cast<std::size_t>(v)]) {
-        std::int32_t c = static_cast<std::int32_t>(comp_size.size());
-        comp_size.push_back(0);
-        while (true) {
-          std::int32_t w = stack.back();
-          stack.pop_back();
-          on_stack[static_cast<std::size_t>(w)] = 0;
-          comp[static_cast<std::size_t>(w)] = c;
-          ++comp_size.back();
-          if (w == v) break;
-        }
-      }
-    }
-  }
-
-  std::vector<char> on_cycle(n, 0);
-  for (std::size_t v = 0; v < n; ++v) {
-    if (!usable[v] || comp[v] < 0) continue;
-    if (comp_size[static_cast<std::size_t>(comp[v])] > 1) {
-      on_cycle[v] = 1;
-      continue;
-    }
-    for (int s : tm.nodes[v].succs) {
-      if (static_cast<std::size_t>(s) == v && usable[v]) on_cycle[v] = 1;
-    }
+  scc.run(n, succs,
+          [&](int v) { return usable[static_cast<std::size_t>(v)] != 0; });
+  std::vector<char> on_cycle(static_cast<std::size_t>(n), 0);
+  for (int v = 0; v < n; ++v) {
+    const int c = scc.comp(v);
+    if (c < 0) continue;
+    const std::vector<int>& out = succs(v);
+    on_cycle[static_cast<std::size_t>(v)] =
+        scc.members(c).size() > 1 ||
+        std::find(out.begin(), out.end(), v) != out.end();
   }
   return on_cycle;
 }
@@ -102,6 +43,7 @@ struct EndpointAnalysis {
   int c;        // frozen consumer thread
   bool explain;
   BlockingStaticBound* out;
+  support::Scc& scc;  // shared by every endpoint of one analysis
 
   // Dep-level usability (arbitrated) / controller usability (event-driven),
   // shrunk to a greatest fixpoint.
@@ -134,7 +76,7 @@ struct EndpointAnalysis {
           if (!op_usable(op)) usable[n] = 0;
         }
       }
-      on_cycle[t] = cycle_nodes(tm, usable);
+      on_cycle[t] = cycle_nodes(tm, usable, scc);
       live[t] = 0;
       for (char oc : on_cycle[t]) {
         if (oc) live[t] = 1;
@@ -274,6 +216,7 @@ std::vector<BlockingStaticBound> blocking_bounds(
     }
   }
 
+  support::Scc scc;
   for (std::size_t di = 0; di < model.deps().size(); ++di) {
     const verify::DepModel& dm = model.deps()[di];
     for (std::size_t k = 0; k < dm.consume_sites.size(); ++k) {
@@ -292,8 +235,8 @@ std::vector<BlockingStaticBound> blocking_bounds(
       }
 
       EndpointAnalysis ea{model, static_cast<int>(di), site.thread, explain,
-                          &b,   {},                    {},          {},
-                          {},   {}};
+                          &b,   scc,                   {},          {},
+                          {},   {},                    {}};
       ea.run();
 
       int live_thread = -1;

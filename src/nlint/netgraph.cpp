@@ -2,6 +2,9 @@
 
 #include <algorithm>
 
+#include "support/bits.h"
+#include "support/graph.h"
+
 namespace hicsync::nlint {
 namespace {
 
@@ -75,7 +78,7 @@ const rtl::RtlExpr* NetGraph::comb_driver(int net) const {
 
 void NetGraph::find_cycles() {
   // Net-level dependency graph restricted to continuously driven nets:
-  // edge u -> v when v's driver reads u. Iterative Tarjan.
+  // edge u -> v when v's driver reads u.
   const int n = net_count();
   std::vector<std::vector<int>> out_edges(static_cast<std::size_t>(n));
   std::vector<char> has_self(static_cast<std::size_t>(n), 0);
@@ -93,83 +96,26 @@ void NetGraph::find_cycles() {
     }
   }
 
-  std::vector<int> index(static_cast<std::size_t>(n), -1);
-  std::vector<int> lowlink(static_cast<std::size_t>(n), 0);
-  std::vector<char> on_stack(static_cast<std::size_t>(n), 0);
-  std::vector<int> stack;
-  int next_index = 0;
-
-  struct Frame {
-    int v;
-    std::size_t edge;
-  };
-  std::vector<Frame> call;
-  std::vector<std::vector<int>> sccs;
-
-  for (int root = 0; root < n; ++root) {
-    if (index[static_cast<std::size_t>(root)] != -1) continue;
-    if (comb_driver(root) == nullptr) continue;
-    call.push_back(Frame{root, 0});
-    while (!call.empty()) {
-      Frame& f = call.back();
-      auto uv = static_cast<std::size_t>(f.v);
-      if (f.edge == 0) {
-        index[uv] = lowlink[uv] = next_index++;
-        stack.push_back(f.v);
-        on_stack[uv] = 1;
-      }
-      bool descended = false;
-      while (f.edge < out_edges[uv].size()) {
-        int w = out_edges[uv][f.edge++];
-        auto uw = static_cast<std::size_t>(w);
-        if (index[uw] == -1) {
-          call.push_back(Frame{w, 0});
-          descended = true;
-          break;
-        }
-        if (on_stack[uw]) {
-          lowlink[uv] = std::min(lowlink[uv], index[uw]);
-        }
-      }
-      if (descended) continue;
-      if (lowlink[uv] == index[uv]) {
-        std::vector<int> scc;
-        while (true) {
-          int w = stack.back();
-          stack.pop_back();
-          on_stack[static_cast<std::size_t>(w)] = 0;
-          scc.push_back(w);
-          if (w == f.v) break;
-        }
-        if (scc.size() > 1 || has_self[uv]) sccs.push_back(std::move(scc));
-      }
-      int child = f.v;
-      call.pop_back();
-      if (!call.empty()) {
-        auto up = static_cast<std::size_t>(call.back().v);
-        lowlink[up] = std::min(lowlink[up],
-                               lowlink[static_cast<std::size_t>(child)]);
-      }
-    }
-  }
-
+  support::Scc scc;
+  scc.run(n, support::successors_in(out_edges));
   // Order each SCC along an actual cycle: walk in-SCC edges from the first
   // net until it closes.
-  for (auto& scc : sccs) {
-    std::vector<char> in_scc(static_cast<std::size_t>(n), 0);
-    for (int v : scc) {
-      in_scc[static_cast<std::size_t>(v)] = 1;
-      on_cycle_[static_cast<std::size_t>(v)] = 1;
+  for (int c = 0; c < scc.count(); ++c) {
+    std::span<const int> members = scc.members(c);
+    if (members.size() == 1 &&
+        !has_self[static_cast<std::size_t>(members[0])]) {
+      continue;
     }
+    for (int v : members) on_cycle_[static_cast<std::size_t>(v)] = 1;
     std::vector<int> ordered;
     std::vector<char> visited(static_cast<std::size_t>(n), 0);
-    int cur = scc.front();
+    int cur = members.front();
     while (!visited[static_cast<std::size_t>(cur)]) {
       visited[static_cast<std::size_t>(cur)] = 1;
       ordered.push_back(cur);
       int next = -1;
       for (int w : out_edges[static_cast<std::size_t>(cur)]) {
-        if (in_scc[static_cast<std::size_t>(w)]) {
+        if (scc.comp(w) == c) {
           next = w;
           break;
         }
@@ -233,7 +179,7 @@ void NetGraph::fold_constants() {
       std::optional<std::uint64_t> value = fold(*drv);
       if (value.has_value()) {
         has_const_[un] = 1;
-        const_[un] = mask_width(*value, module_.net(it.net).width);
+        const_[un] = *value & support::low_mask(module_.net(it.net).width);
       }
     }
   }
@@ -251,58 +197,58 @@ std::optional<std::uint64_t> NetGraph::fold(const rtl::RtlExpr& e) const {
   auto fold1 = [&](const rtl::RtlExpr& a) { return fold(a); };
   switch (e.op) {
     case RtlOp::Const:
-      return mask_width(e.value, e.width);
+      return e.value & support::low_mask(e.width);
     case RtlOp::Ref:
       return const_value(e.net);
     case RtlOp::Slice: {
       auto v = fold1(*e.args[0]);
       if (!v) return std::nullopt;
-      return mask_width(*v >> e.lo, e.hi - e.lo + 1);
+      return (*v >> e.lo) & support::low_mask(e.hi - e.lo + 1);
     }
     case RtlOp::Concat: {
       std::uint64_t v = 0;
       for (const auto& a : e.args) {
         auto p = fold1(*a);
         if (!p) return std::nullopt;
-        v = (v << a->width) | mask_width(*p, a->width);
+        v = (v << a->width) | (*p & support::low_mask(a->width));
       }
-      return mask_width(v, e.width);
+      return v & support::low_mask(e.width);
     }
     case RtlOp::Not: {
       auto v = fold1(*e.args[0]);
       if (!v) return std::nullopt;
-      return mask_width(~*v, e.width);
+      return ~*v & support::low_mask(e.width);
     }
     case RtlOp::And: {
       auto a = fold1(*e.args[0]);
       auto b = fold1(*e.args[1]);
       if (a && *a == 0) return 0;
       if (b && *b == 0) return 0;
-      if (a && b) return mask_width(*a & *b, e.width);
+      if (a && b) return *a & *b & support::low_mask(e.width);
       return std::nullopt;
     }
     case RtlOp::Or: {
       auto a = fold1(*e.args[0]);
       auto b = fold1(*e.args[1]);
-      if (a && b) return mask_width(*a | *b, e.width);
+      if (a && b) return (*a | *b) & support::low_mask(e.width);
       return std::nullopt;
     }
     case RtlOp::Xor: {
       auto a = fold1(*e.args[0]);
       auto b = fold1(*e.args[1]);
-      if (a && b) return mask_width(*a ^ *b, e.width);
+      if (a && b) return (*a ^ *b) & support::low_mask(e.width);
       return std::nullopt;
     }
     case RtlOp::Add: {
       auto a = fold1(*e.args[0]);
       auto b = fold1(*e.args[1]);
-      if (a && b) return mask_width(*a + *b, e.width);
+      if (a && b) return (*a + *b) & support::low_mask(e.width);
       return std::nullopt;
     }
     case RtlOp::Sub: {
       auto a = fold1(*e.args[0]);
       auto b = fold1(*e.args[1]);
-      if (a && b) return mask_width(*a - *b, e.width);
+      if (a && b) return (*a - *b) & support::low_mask(e.width);
       return std::nullopt;
     }
     case RtlOp::Eq:
@@ -326,39 +272,38 @@ std::optional<std::uint64_t> NetGraph::fold(const rtl::RtlExpr& e) const {
     case RtlOp::Shl: {
       auto a = fold1(*e.args[0]);
       auto b = fold1(*e.args[1]);
-      if (a && b) return mask_width(*a << *b, e.width);
+      if (a && b) return (*a << *b) & support::low_mask(e.width);
       return std::nullopt;
     }
     case RtlOp::Shr: {
       auto a = fold1(*e.args[0]);
       auto b = fold1(*e.args[1]);
-      if (a && b) return mask_width(*a >> *b, e.width);
+      if (a && b) return (*a >> *b) & support::low_mask(e.width);
       return std::nullopt;
     }
     case RtlOp::Mux: {
       auto s = fold1(*e.args[0]);
       if (s) {
         auto arm = fold1(*s != 0 ? *e.args[1] : *e.args[2]);
-        if (arm) return mask_width(*arm, e.width);
+        if (arm) return *arm & support::low_mask(e.width);
         return std::nullopt;
       }
       auto a = fold1(*e.args[1]);
       auto b = fold1(*e.args[2]);
-      if (a && b && mask_width(*a, e.width) == mask_width(*b, e.width)) {
-        return mask_width(*a, e.width);
-      }
+      const std::uint64_t mask = support::low_mask(e.width);
+      if (a && b && (*a & mask) == (*b & mask)) return *a & mask;
       return std::nullopt;
     }
     case RtlOp::ReduceOr: {
       auto v = fold1(*e.args[0]);
       if (!v) return std::nullopt;
-      return mask_width(*v, e.args[0]->width) != 0 ? 1 : 0;
+      return (*v & support::low_mask(e.args[0]->width)) != 0 ? 1 : 0;
     }
     case RtlOp::ReduceAnd: {
       auto v = fold1(*e.args[0]);
       if (!v) return std::nullopt;
-      return mask_width(*v, e.args[0]->width) ==
-                     mask_width(~0ULL, e.args[0]->width)
+      return (*v & support::low_mask(e.args[0]->width)) ==
+                     support::low_mask(e.args[0]->width)
                  ? 1
                  : 0;
     }

@@ -3,7 +3,7 @@
 // Built once per analyzed module: per-net driver/reader inventory (who
 // continuously assigns, sequentially assigns, or memory-reads into each
 // net), the combinational dependency graph with its strongly connected
-// components (Tarjan) for loop detection, constant folding over
+// components (support/graph.h) for loop detection, constant folding over
 // combinational cones, and cone-support queries (the terminal inputs/
 // registers a net's combinational value depends on) used by the one-hot
 // prover's exhaustive fallback.
@@ -75,11 +75,6 @@ class NetGraph {
   /// depend on, in ascending net-id order.
   [[nodiscard]] std::vector<int> cone_support(
       const std::vector<int>& roots) const;
-
-  [[nodiscard]] static std::uint64_t mask_width(std::uint64_t v, int width) {
-    if (width >= 64) return v;
-    return v & ((1ULL << width) - 1);
-  }
 
  private:
   void index_drivers();

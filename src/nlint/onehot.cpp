@@ -4,6 +4,8 @@
 #include <optional>
 #include <sstream>
 
+#include "support/bits.h"
+
 namespace hicsync::nlint {
 
 const char* to_string(OneHotStatus s) {
@@ -82,7 +84,7 @@ class Propagator {
   std::uint64_t facts = 0;
 
   [[nodiscard]] bool assume_net(int net, std::uint64_t v) {
-    v = NetGraph::mask_width(v, g_.module().net(net).width);
+    v &= support::low_mask(g_.module().net(net).width);
     switch (store_.record(net, v)) {
       case FactStore::Record::Known:
         return true;
@@ -100,17 +102,17 @@ class Propagator {
   /// Requires expression e to evaluate to v (masked to e.width); derives
   /// the implied net facts. Returns false on contradiction.
   [[nodiscard]] bool require(const RtlExpr& e, std::uint64_t v) {
-    v = NetGraph::mask_width(v, e.width);
+    v &= support::low_mask(e.width);
     switch (e.op) {
       case RtlOp::Const:
-        return NetGraph::mask_width(e.value, e.width) == v;
+        return (e.value & support::low_mask(e.width)) == v;
       case RtlOp::Ref:
         return assume_net(e.net, v);
       case RtlOp::Not:
         return require(*e.args[0],
-                       NetGraph::mask_width(~v, e.args[0]->width));
+                       (~v & support::low_mask(e.args[0]->width)));
       case RtlOp::And: {
-        if (v == NetGraph::mask_width(~0ULL, e.width) &&
+        if (v == support::low_mask(e.width) &&
             e.args[0]->width == e.width && e.args[1]->width == e.width) {
           return require(*e.args[0], v) && require(*e.args[1], v);
         }
@@ -162,8 +164,8 @@ class Propagator {
         auto t = partial_eval(*e.args[1]);
         auto f = partial_eval(*e.args[2]);
         if (t && f) {
-          const std::uint64_t tv = NetGraph::mask_width(*t, e.width);
-          const std::uint64_t fv = NetGraph::mask_width(*f, e.width);
+          const std::uint64_t tv = *t & support::low_mask(e.width);
+          const std::uint64_t fv = *f & support::low_mask(e.width);
           if (tv == v && fv != v) return require(*e.args[0], 1);
           if (fv == v && tv != v) return require(*e.args[0], 0);
           if (tv != v && fv != v) return false;
@@ -183,7 +185,7 @@ class Propagator {
         for (const auto& part : e.args) {
           offset -= part->width;
           const std::uint64_t pv =
-              NetGraph::mask_width(offset >= 0 ? v >> offset : 0, part->width);
+              (offset >= 0 ? v >> offset : 0) & support::low_mask(part->width);
           if (!require(*part, pv)) return false;
         }
         return true;
@@ -195,7 +197,7 @@ class Propagator {
       case RtlOp::ReduceAnd:
         if (v != 0) {
           return require(*e.args[0],
-                         NetGraph::mask_width(~0ULL, e.args[0]->width));
+                         support::low_mask(e.args[0]->width));
         }
         if (e.args[0]->width == 1) return require(*e.args[0], 0);
         return true;
@@ -215,21 +217,21 @@ class Propagator {
   [[nodiscard]] std::optional<std::uint64_t> partial_eval(const RtlExpr& e) {
     switch (e.op) {
       case RtlOp::Const:
-        return NetGraph::mask_width(e.value, e.width);
+        return e.value & support::low_mask(e.width);
       case RtlOp::Ref:
         if (store_.known(e.net)) return store_.value(e.net);
         return g_.const_value(e.net);
       case RtlOp::Not: {
         auto v = partial_eval(*e.args[0]);
         if (!v) return std::nullopt;
-        return NetGraph::mask_width(~*v, e.width);
+        return ~*v & support::low_mask(e.width);
       }
       case RtlOp::And: {
         auto a = partial_eval(*e.args[0]);
         if (a && *a == 0) return 0;
         auto b = partial_eval(*e.args[1]);
         if (b && *b == 0) return 0;
-        if (a && b) return NetGraph::mask_width(*a & *b, e.width);
+        if (a && b) return *a & *b & support::low_mask(e.width);
         return std::nullopt;
       }
       case RtlOp::Or: {
@@ -237,7 +239,7 @@ class Propagator {
         auto b = partial_eval(*e.args[1]);
         if (e.width == 1 && a && *a == 1) return 1;
         if (e.width == 1 && b && *b == 1) return 1;
-        if (a && b) return NetGraph::mask_width(*a | *b, e.width);
+        if (a && b) return (*a | *b) & support::low_mask(e.width);
         return std::nullopt;
       }
       case RtlOp::Eq: {
@@ -251,7 +253,7 @@ class Propagator {
         if (!s) return std::nullopt;
         auto arm = partial_eval(*s != 0 ? *e.args[1] : *e.args[2]);
         if (!arm) return std::nullopt;
-        return NetGraph::mask_width(*arm, e.width);
+        return *arm & support::low_mask(e.width);
       }
       default: {
         // Fall back to pure constant folding for the remaining shapes.
@@ -362,7 +364,7 @@ class ConeEval {
     auto un = static_cast<std::size_t>(net);
     epoch_[un] = cur_;
     state_[un] = 2;
-    value_[un] = NetGraph::mask_width(v, g_.module().net(net).width);
+    value_[un] = v & support::low_mask(g_.module().net(net).width);
   }
 
   std::uint64_t net_value(int net) {
@@ -374,7 +376,7 @@ class ConeEval {
     const RtlExpr* drv = g_.comb_driver(net);
     std::uint64_t v = 0;
     if (drv != nullptr) {
-      v = NetGraph::mask_width(eval(*drv), g_.module().net(net).width);
+      v = eval(*drv) & support::low_mask(g_.module().net(net).width);
     }
     epoch_[un] = cur_;
     state_[un] = 2;
@@ -383,19 +385,18 @@ class ConeEval {
   }
 
   std::uint64_t eval(const RtlExpr& e) {
-    auto m = [&](std::uint64_t v) { return NetGraph::mask_width(v, e.width); };
+    auto m = [&](std::uint64_t v) { return v & support::low_mask(e.width); };
     switch (e.op) {
       case RtlOp::Const:
         return m(e.value);
       case RtlOp::Ref:
         return net_value(e.net);
       case RtlOp::Slice:
-        return NetGraph::mask_width(eval(*e.args[0]) >> e.lo,
-                                    e.hi - e.lo + 1);
+        return (eval(*e.args[0]) >> e.lo) & support::low_mask(e.hi - e.lo + 1);
       case RtlOp::Concat: {
         std::uint64_t v = 0;
         for (const auto& a : e.args) {
-          v = (v << a->width) | NetGraph::mask_width(eval(*a), a->width);
+          v = (v << a->width) | (eval(*a) & support::low_mask(a->width));
         }
         return m(v);
       }
@@ -429,8 +430,8 @@ class ConeEval {
       case RtlOp::ReduceOr:
         return eval(*e.args[0]) != 0 ? 1 : 0;
       case RtlOp::ReduceAnd:
-        return NetGraph::mask_width(eval(*e.args[0]), e.args[0]->width) ==
-                       NetGraph::mask_width(~0ULL, e.args[0]->width)
+        return (eval(*e.args[0]) & support::low_mask(e.args[0]->width)) ==
+                       support::low_mask(e.args[0]->width)
                    ? 1
                    : 0;
     }
@@ -464,7 +465,7 @@ EnumResult enumerate_pair(const NetGraph& g, int a, int b, int max_bits) {
     int off = 0;
     for (int s : support) {
       const int w = g.module().net(s).width;
-      eval.set(s, (word >> off) & NetGraph::mask_width(~0ULL, w));
+      eval.set(s, (word >> off) & support::low_mask(w));
       off += w;
     }
     if (eval.net_value(a) != 0 && eval.net_value(b) != 0) {
@@ -473,7 +474,7 @@ EnumResult enumerate_pair(const NetGraph& g, int a, int b, int max_bits) {
       int woff = 0;
       for (int s : support) {
         const int w = g.module().net(s).width;
-        const std::uint64_t v = (word >> woff) & NetGraph::mask_width(~0ULL, w);
+        const std::uint64_t v = (word >> woff) & support::low_mask(w);
         woff += w;
         if (v == 0) continue;
         if (any) witness << ' ';

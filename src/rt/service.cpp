@@ -202,11 +202,18 @@ std::future<CommandResult> Service::submit(std::unique_ptr<Work> work) {
 
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    work->sequence = shard.next_sequence[work->session]++;
-    // Close is a session's last command: its counter goes with it, so the
-    // table holds only sessions that are still open.
-    if (work->kind == CommandKind::Close) {
-      shard.next_sequence.erase(work->session);
+    // Only Open starts a counter, and Close, a session's last command,
+    // takes it away: the table holds only sessions that are still open.
+    // A command on an id without one (never opened, or closed) keeps
+    // sequence 0 and is answered rt-no-session by the worker.
+    auto seq = shard.next_sequence.find(work->session);
+    if (seq == shard.next_sequence.end() &&
+        work->kind == CommandKind::Open) {
+      seq = shard.next_sequence.emplace(work->session, 0).first;
+    }
+    if (seq != shard.next_sequence.end()) {
+      work->sequence = seq->second++;
+      if (work->kind == CommandKind::Close) shard.next_sequence.erase(seq);
     }
     work->queue_depth = static_cast<std::uint64_t>(shard.queue.size());
     shard.queue.push_back(std::move(work));

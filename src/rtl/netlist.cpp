@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <span>
 #include <stdexcept>
+
+#include "support/graph.h"
 
 namespace hicsync::rtl {
 
@@ -129,7 +132,6 @@ std::vector<int> assign_order(const Module& module, const char* who) {
   // One edge driver -> reader per distinct driven net an assign reads,
   // gathered reader by reader so each driver's dependents stay ascending.
   std::vector<std::pair<int, int>> edges;
-  std::vector<int> indegree(static_cast<std::size_t>(n), 0);
   std::vector<int> seen(module.nets().size(), -1);  // net -> last reader
   for (int i = 0; i < n; ++i) {
     auto visit = [&](int net) {
@@ -137,7 +139,6 @@ std::vector<int> assign_order(const Module& module, const char* who) {
       if (seen[r] == i || driver_of[r] < 0) return;
       seen[r] = i;
       edges.emplace_back(driver_of[r], i);
-      ++indegree[static_cast<std::size_t>(i)];
     };
     for_each_ref(*assigns[static_cast<std::size_t>(i)].value, visit);
   }
@@ -154,22 +155,12 @@ std::vector<int> assign_order(const Module& module, const char* who) {
         i;
   }
 
-  std::vector<int> order;
-  order.reserve(static_cast<std::size_t>(n));
-  std::vector<int> ready;
-  for (int i = 0; i < n; ++i) {
-    if (indegree[static_cast<std::size_t>(i)] == 0) ready.push_back(i);
-  }
-  while (!ready.empty()) {
-    const int i = ready.back();
-    ready.pop_back();
-    order.push_back(i);
-    const auto d = static_cast<std::size_t>(i);
-    for (int k = first[d]; k < first[d + 1]; ++k) {
-      const int r = dependents[static_cast<std::size_t>(k)];
-      if (--indegree[static_cast<std::size_t>(r)] == 0) ready.push_back(r);
-    }
-  }
+  std::vector<int> order = support::topological_order(n, [&](int d) {
+    const auto di = static_cast<std::size_t>(d);
+    return std::span<const int>(dependents)
+        .subspan(static_cast<std::size_t>(first[di]),
+                 static_cast<std::size_t>(first[di + 1] - first[di]));
+  });
   if (static_cast<int>(order.size()) != n) {
     throw std::runtime_error(std::string(who) + ": combinational cycle in " +
                              module.name());

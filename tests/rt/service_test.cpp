@@ -263,6 +263,13 @@ TEST(Service, CloseFreesTheSessionSequenceCounter) {
   EXPECT_EQ(counters, 1u);
   CommandResult r = service.run(ids.front()).get();
   EXPECT_EQ(r.error.rfind("rt-no-session:", 0), 0u) << r.error;
+
+  // Neither the closed id nor one never opened starts a counter.
+  CommandResult stray = service.run(open + 1000000).get();
+  EXPECT_EQ(stray.error.rfind("rt-no-session:", 0), 0u) << stray.error;
+  counters = 0;
+  for (const auto& s : service.stats().shards) counters += s.sequence_counters;
+  EXPECT_EQ(counters, 1u);
 }
 
 TEST(Service, StatsCountCommandsAndSessions) {
